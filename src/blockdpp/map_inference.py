@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import chain, combinations, islice
+from typing import Callable, List, Tuple
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from . import matrix_core as mc
-from ._accel import greedy_select, subset_dets
 from .errors import SingularToTolerance
 from .kernel_model import BlockPartition, kernel_matrix
 
@@ -24,57 +25,41 @@ from .kernel_model import BlockPartition, kernel_matrix
 # contributors).
 UNSELECTABLE_DIAG = 1e-12
 
+# Subsets per batched determinant call in exhaustive_map; bounds its memory
+# at n=20 to a few tens of MB.
+EXHAUSTIVE_CHUNK = 4096
+
 SubSolver = Callable[[np.ndarray], np.ndarray]
 
 
-def greedy_map(L, require_initial_gain: bool = False,
-               method: str = "fast") -> np.ndarray:
+def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     """Greedy MAP selection.
 
     The first pick is the unconditional diagonal argmax (the classic
     initialization); set require_initial_gain=True to also demand a
     probability gain (diagonal > 1) for the first pick.  Ties break to the
-    lowest index.
-
-    method="fast" uses rank-one Schur downdates of the conditional kernel;
-    method="reference" recomputes the conditional kernel from its defining
-    double-inverse formula each step.  Both agree to tight tolerance.
+    lowest index.  Each pick conditions the kernel on it by a rank-one
+    Schur downdate.
     """
-    A = mc.as_matrix(kernel_matrix(L))
-    if A.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    if method == "fast":
-        picks = greedy_select(A.copy(), require_initial_gain, UNSELECTABLE_DIAG)
-        return np.sort(np.asarray(picks, dtype=np.int64))
-    if method != "reference":
-        raise ValueError(f"unknown method {method!r}")
-    return _greedy_reference(A, require_initial_gain)
-
-
-def _greedy_reference(A: np.ndarray, require_initial_gain: bool) -> np.ndarray:
-    # Literal transcription: K* = ([(K + I_rest)^-1]_rest)^-1 - I after each pick.
-    remaining = list(range(A.shape[0]))
-    K = A.copy()
-    selected: List[int] = []
+    K = mc.as_matrix(kernel_matrix(L)).copy()
+    alive = np.ones(K.shape[0], dtype=bool)
+    picks: List[int] = []
     first = True
-    while True:
-        diag = np.diagonal(K).copy()
-        ok = diag > UNSELECTABLE_DIAG
+    while alive.any():
+        diag = np.where(alive, np.diagonal(K), -np.inf)
+        diag = np.where(diag > UNSELECTABLE_DIAG, diag, -np.inf)
         if require_initial_gain or not first:
-            ok &= diag > 1.0
-        if not np.any(ok):
+            diag = np.where(diag > 1.0, diag, -np.inf)
+        best = int(np.argmax(diag))
+        if not np.isfinite(diag[best]):
             break
-        local = int(np.argmax(np.where(ok, diag, -np.inf)))
-        selected.append(remaining[local])
-        rest = [j for j in range(len(remaining)) if j != local]
-        shift = np.eye(len(remaining))
-        shift[local, local] = 0.0
-        inner = np.linalg.inv(K + shift)
-        K = np.linalg.inv(inner[np.ix_(rest, rest)]) - np.eye(len(rest))
-        K = 0.5 * (K + K.T)
-        remaining = [remaining[j] for j in rest]
+        piv = K[best, best]
+        alive[best] = False
+        picks.append(best)
+        col = np.where(alive, K[:, best], 0.0)
+        K -= np.outer(col, col) / piv
         first = False
-    return np.sort(np.asarray(selected, dtype=np.int64))
+    return np.sort(np.asarray(picks, dtype=np.int64))
 
 
 def conditional_kernel(L, a_in, a_out) -> np.ndarray:
@@ -131,32 +116,28 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     earlier blocks vanish by the almost-block-diagonal structure).  The
     correction is clamped back to PSD (zero shift) before the sub-solver
     runs, so float noise cannot leak negative eigenvalues into f.
+    collect_trace=False only drops the per-block records.
     """
     A = mc.as_matrix(kernel_matrix(L))
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
-    if f is greedy_map and clamp_psd and not collect_trace:
-        # fused compiled path; identical selection, no per-block records
-        from ._accel import blockwise_greedy
-        ranges = P.ranges()
-        starts = np.asarray([r[0] for r in ranges], dtype=np.int64)
-        stops = np.asarray([r[1] for r in ranges], dtype=np.int64)
-        sel = blockwise_greedy(np.ascontiguousarray(A), starts, stops,
-                               False, UNSELECTABLE_DIAG)
-        return np.asarray(sel, dtype=np.int64), InferenceTrace()
     trace = InferenceTrace()
     selected: List[np.ndarray] = []
     prev_sel = np.empty(0, dtype=np.int64)      # global indices
     prev_reduced_sel = np.empty((0, 0))         # their reduced kernel
     for start, stop in P.ranges():
         t0 = time.perf_counter()
-        block = A[start:stop, start:stop]
+        reduced = A[start:stop, start:stop].copy()
         if prev_sel.size:
-            cross = A[np.ix_(prev_sel, np.arange(start, stop))]
-            reduced = block - cross.T @ mc.inverse_spd(prev_reduced_sel) @ cross
+            try:
+                F = cholesky(prev_reduced_sel, lower=True)
+            except LinAlgError as exc:
+                raise SingularToTolerance(
+                    f"selected reduced kernel of the block before [{start}, "
+                    f"{stop}) is not positive definite: {exc}") from None
+            X = solve_triangular(F, A[prev_sel, start:stop], lower=True)
+            reduced -= X.T @ X
             reduced = 0.5 * (reduced + reduced.T)
-        else:
-            reduced = block.copy()
         if clamp_psd:
             reduced = mc.psd_repair(reduced, eps=0.0)
         local = np.asarray(f(reduced), dtype=np.int64)
@@ -165,13 +146,14 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
         local = np.sort(local)
         global_sel = local + start
         reduced_sel = reduced[np.ix_(local, local)]
-        trace.blocks.append(BlockTrace(
-            span=(start, stop),
-            reduced_kernel=reduced,
-            selected=global_sel,
-            reduced_selected_kernel=reduced_sel,
-            ms=(time.perf_counter() - t0) * 1e3,
-        ))
+        if collect_trace:
+            trace.blocks.append(BlockTrace(
+                span=(start, stop),
+                reduced_kernel=reduced,
+                selected=global_sel,
+                reduced_selected_kernel=reduced_sel,
+                ms=(time.perf_counter() - t0) * 1e3,
+            ))
         selected.append(global_sel)
         prev_sel = global_sel
         prev_reduced_sel = reduced_sel
@@ -217,25 +199,19 @@ def exhaustive_map(L, max_dim: int = 20) -> np.ndarray:
     n = A.shape[0]
     if n > max_dim:
         raise ValueError(f"dimension {n} exceeds exhaustive limit {max_dim}")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    dets = subset_dets(np.ascontiguousarray(A))
-    best_mask, best_det = 0, 1.0  # the empty set, det 1
-    for mask in _masks_by_card_then_lex(n):
-        if dets[mask] > best_det:
-            best_mask, best_det = mask, dets[mask]
-    return np.asarray([i for i in range(n) if (best_mask >> i) & 1],
-                      dtype=np.int64)
-
-
-def _masks_by_card_then_lex(n: int):
-    from itertools import combinations
+    best, best_det = np.empty(0, dtype=np.int64), 1.0  # the empty set, det 1
     for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
+        subsets = combinations(range(n), k)   # lexicographic order
+        while True:
+            idx = np.fromiter(chain.from_iterable(islice(subsets, EXHAUSTIVE_CHUNK)),
+                              dtype=np.int64).reshape(-1, k)
+            if idx.shape[0] == 0:
+                break
+            dets = np.linalg.det(A[idx[:, :, None], idx[:, None, :]])
+            j = int(np.argmax(dets))   # first of the chunk's maxima
+            if dets[j] > best_det:
+                best, best_det = idx[j], dets[j]
+    return best
 
 
 def log_prob_unnormalized(L, C) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
@@ -19,6 +20,37 @@ def synthetic(N=60, seed=0, overlaps=(0, 2, 4), blocks=(10, 20), d=80):
     return kern.L, part
 
 
+def greedy_reference(L, require_initial_gain=False):
+    """Greedy MAP from the defining formula of the conditional kernel.
+
+    After each pick, K* = ([(K + I_rest)^-1]_rest)^-1 - I.  The oracle for
+    greedy_map's rank-one downdates.
+    """
+    A = np.asarray(L, dtype=np.float64)
+    remaining = list(range(A.shape[0]))
+    K = A.copy()
+    selected = []
+    first = True
+    while True:
+        diag = np.diagonal(K).copy()
+        ok = diag > mi.UNSELECTABLE_DIAG
+        if require_initial_gain or not first:
+            ok &= diag > 1.0
+        if not np.any(ok):
+            break
+        local = int(np.argmax(np.where(ok, diag, -np.inf)))
+        selected.append(remaining[local])
+        rest = [j for j in range(len(remaining)) if j != local]
+        shift = np.eye(len(remaining))
+        shift[local, local] = 0.0
+        inner = np.linalg.inv(K + shift)
+        K = np.linalg.inv(inner[np.ix_(rest, rest)]) - np.eye(len(rest))
+        K = 0.5 * (K + K.T)
+        remaining = [remaining[j] for j in rest]
+        first = False
+    return np.sort(np.asarray(selected, dtype=np.int64))
+
+
 class TestGreedyMap:
     def test_diagonal_kernel(self):
         assert np.array_equal(mi.greedy_map(np.diag([2.0, 3.0])), [0, 1])
@@ -33,14 +65,14 @@ class TestGreedyMap:
     def test_ties_break_to_lowest_index(self):
         sel = mi.greedy_map(np.diag([3.0, 3.0, 3.0]))
         # all picked, but the reference path must start at index 0
-        ref = mi.greedy_map(np.diag([3.0, 3.0, 3.0]), method="reference")
+        ref = greedy_reference(np.diag([3.0, 3.0, 3.0]))
         assert np.array_equal(sel, ref)
 
     def test_fast_matches_reference(self):
         for seed in range(30):
             L = random_spd(int(np.random.default_rng(seed).integers(2, 12)), seed)
             fast = mi.greedy_map(L)
-            ref = mi.greedy_map(L, method="reference")
+            ref = greedy_reference(L)
             assert np.array_equal(fast, ref), f"seed {seed}"
 
     def test_fast_matches_reference_with_gain_filter(self):
@@ -48,14 +80,10 @@ class TestGreedyMap:
             L = random_spd(8, seed, scale=1.5)
             assert np.array_equal(
                 mi.greedy_map(L, require_initial_gain=True),
-                mi.greedy_map(L, require_initial_gain=True, method="reference"))
+                greedy_reference(L, require_initial_gain=True))
 
     def test_empty_kernel(self):
         assert mi.greedy_map(np.zeros((0, 0))).size == 0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            mi.greedy_map(np.eye(2), method="what")
 
     def test_never_picks_zero_diagonal(self):
         L = np.diag([2.0, 0.0, 3.0])
@@ -91,6 +119,17 @@ class TestBlockwiseMap:
         L = np.diag([2.0, 3.0])
         sel, _ = mi.blockwise_map(L, km.BlockPartition((1, 1), 0))
         assert np.array_equal(np.sort(sel), [0, 1])
+
+    def test_tiny_first_pick_conditions_next_block(self):
+        # greedy may pick a lone item just above UNSELECTABLE_DIAG; the next
+        # block's Schur step must still accept it as a conditioning set
+        L = np.diag([5e-11, 2.0])
+        part = km.BlockPartition((1, 1), 0)
+        ref = mi.blockwise_map_conditional_form(L, part)
+        assert np.array_equal(ref, [0, 1])
+        for collect_trace in (True, False):
+            sel, _ = mi.blockwise_map(L, part, collect_trace=collect_trace)
+            assert np.array_equal(sel, ref), collect_trace
 
     def test_trivial_partition_reduces_to_subsolver(self):
         for seed in range(5):
@@ -137,6 +176,21 @@ class TestBlockwiseMap:
                 s2, tr2 = mi.blockwise_map(L, part, collect_trace=False)
                 assert np.array_equal(np.sort(s1), np.sort(s2)), (seed, g)
                 assert tr.blocks and not tr2.blocks
+
+    @settings(deadline=None)
+    @given(N=st.integers(20, 80), low=st.integers(3, 10),
+           extra=st.integers(0, 12),
+           overlaps=st.sets(st.sampled_from((0, 1, 2, 3, 4)), min_size=1),
+           seed=st.integers(0, 2**31 - 1), gamma=st.sampled_from((0, 2, 4)))
+    def test_trace_modes_and_conditional_form_agree(self, N, low, extra,
+                                                     overlaps, seed, gamma):
+        L, _ = synthetic(N=N, seed=seed, overlaps=tuple(sorted(overlaps)),
+                         blocks=(low, low + extra), d=N + 20)
+        part = km.gamma_partition(L, gamma)
+        traced, _ = mi.blockwise_map(L, part)
+        untraced, _ = mi.blockwise_map(L, part, collect_trace=False)
+        assert np.array_equal(traced, untraced)
+        assert np.array_equal(traced, mi.blockwise_map_conditional_form(L, part))
 
     def test_strictly_block_diagonal_equals_full_greedy(self):
         for seed in range(10):
