@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import SingularToTolerance
 
 DEFAULT_DELTA_REG = 1e-6
 
@@ -42,42 +41,105 @@ def as_events(E) -> np.ndarray:
 
 @dataclass
 class SegmentStats:
+    """One segment's model, or a stack of them with leading batch axes."""
+
     count: int
     mean: np.ndarray
     cov: np.ndarray  # ML covariance (denominator = count) plus delta_reg * I
 
 
+def _prefix_moments(A: np.ndarray):
+    """Centre of A and prefix sums of the centred rows and their outer products.
+
+    Row i of each sum covers samples [0, i), so the moments of any window are
+    one subtraction.  Centring first keeps offset data from cancelling.
+    """
+    centre = A.mean(axis=0)
+    Z = A - centre
+    T, D = Z.shape
+    S1 = np.zeros((T + 1, D))
+    S2 = np.zeros((T + 1, D, D))
+    np.cumsum(Z, axis=0, out=S1[1:])
+    np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0, out=S2[1:])
+    return centre, S1, S2
+
+
+def _window_stats(S1, S2, lo, hi, delta_reg: float) -> SegmentStats:
+    """Stats of the windows [lo, hi) (scalars or arrays) from prefix sums.
+
+    Means are relative to the centre the prefix sums were taken about.
+    """
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    M = hi - lo
+    if np.any(M < 2):
+        raise ValueError("segment must contain at least 2 samples")
+    m = M[..., None].astype(np.float64)
+    mean = (S1[hi] - S1[lo]) / m
+    cov = ((S2[hi] - S2[lo]) / m[..., None]
+           - mean[..., :, None] * mean[..., None, :]
+           + delta_reg * np.eye(S1.shape[1]))
+    return SegmentStats(count=M, mean=mean, cov=cov)
+
+
 def segment_stats(X, start: int, stop: int,
                   delta_reg: float = DEFAULT_DELTA_REG) -> SegmentStats:
     """Sample mean and ML covariance of X[start:stop], ridge-regularized."""
-    A = as_series(X)
-    seg = A[start:stop]
-    M = seg.shape[0]
-    if M < 2:
-        raise ValueError("segment must contain at least 2 samples")
-    mu = seg.mean(axis=0)
-    Z = seg - mu
-    cov = (Z.T @ Z) / M + delta_reg * np.eye(seg.shape[1])
-    return SegmentStats(count=M, mean=mu, cov=0.5 * (cov + cov.T))
+    seg = as_series(X)[start:stop]
+    centre, S1, S2 = _prefix_moments(seg)
+    s = _window_stats(S1, S2, 0, seg.shape[0], delta_reg)
+    return SegmentStats(count=int(s.count), mean=centre + s.mean, cov=s.cov)
+
+
+def _symkl(s1: SegmentStats, s2: SegmentStats):
+    """Symmetrized Gaussian KL divergence over (stacks of) segment stats."""
+    D = s1.mean.shape[-1]
+    inv1, _ = mc.inverse_logdet_spd(s1.cov)
+    inv2, _ = mc.inverse_logdet_spd(s2.cov)
+    dm = s1.mean - s2.mean
+    return (np.einsum("...ij,...ji->...", s1.cov, inv2)
+            + np.einsum("...ij,...ji->...", s2.cov, inv1) - 2.0 * D
+            + np.einsum("...i,...ij,...j->...", dm, inv1 + inv2, dm))
 
 
 def symkl(s1: SegmentStats, s2: SegmentStats) -> float:
     """Symmetrized KL divergence between two Gaussian segment models."""
-    D = s1.mean.size
-    inv1 = mc.inverse_spd(s1.cov)
-    inv2 = mc.inverse_spd(s2.cov)
-    dm = s1.mean - s2.mean
-    val = (np.trace(s1.cov @ inv2) + np.trace(s2.cov @ inv1) - 2.0 * D
-           + dm @ (inv1 + inv2) @ dm)
-    return float(val)
+    return float(_symkl(s1, s2))
 
 
-def _gauss_loglik(seg: np.ndarray, stats: SegmentStats) -> float:
-    M, D = seg.shape
-    Z = seg - stats.mean
-    inv = mc.inverse_spd(stats.cov)
-    quad = float(np.sum((Z @ inv) * Z))
-    return -0.5 * (M * (D * np.log(2.0 * np.pi) + mc.log_det(stats.cov)) + quad)
+def _gauss_loglik(s: SegmentStats, delta_reg: float):
+    """Log-likelihood of (stacks of) segments under their own fitted Gaussian.
+
+    With cov = S + delta_reg * I, S the ML scatter, the quadratic term
+    sum_i z_i' cov^-1 z_i is count * tr(cov^-1 S) = count * (D - delta_reg *
+    tr(cov^-1)), so no per-sample pass is needed.
+    """
+    D = s.cov.shape[-1]
+    inv, logdet = mc.inverse_logdet_spd(s.cov)
+    trace_inv = np.trace(inv, axis1=-2, axis2=-1)
+    return -0.5 * s.count * (D * np.log(2.0 * np.pi) + logdet + D
+                             - delta_reg * trace_inv)
+
+
+def split_dissimilarity(X, lo, mid, hi, metric: str = "symkl",
+                        delta_reg: float = DEFAULT_DELTA_REG) -> np.ndarray:
+    """d(x[lo:mid], x[mid:hi]) for arrays of split positions, all at once.
+
+    The series is centred once and every window's mean and covariance come
+    from prefix sums: O(T * D^2) set-up, then batched inverses and
+    log-determinants over the windows.  A window with fewer than 2 samples
+    raises ValueError; a covariance that is not positive definite to
+    tolerance raises SingularToTolerance.
+    """
+    if metric not in ("symkl", "glr_gaussian"):
+        raise ValueError(f"unknown series metric {metric!r}")
+    _, S1, S2 = _prefix_moments(as_series(X))
+    left = _window_stats(S1, S2, lo, mid, delta_reg)
+    right = _window_stats(S1, S2, mid, hi, delta_reg)
+    if metric == "symkl":
+        return _symkl(left, right)
+    pooled = _window_stats(S1, S2, lo, hi, delta_reg)
+    return (_gauss_loglik(left, delta_reg) + _gauss_loglik(right, delta_reg)
+            - _gauss_loglik(pooled, delta_reg))
 
 
 def glr_gaussian(X1, X2, delta_reg: float = DEFAULT_DELTA_REG) -> float:
@@ -85,23 +147,27 @@ def glr_gaussian(X1, X2, delta_reg: float = DEFAULT_DELTA_REG) -> float:
     A1, A2 = as_series(X1), as_series(X2)
     if A1.shape[1] != A2.shape[1]:
         raise ValueError("segments must have the same dimension")
-    pooled = np.vstack([A1, A2])
-    s1 = segment_stats(A1, 0, A1.shape[0], delta_reg)
-    s2 = segment_stats(A2, 0, A2.shape[0], delta_reg)
-    sp = segment_stats(pooled, 0, pooled.shape[0], delta_reg)
-    return (_gauss_loglik(A1, s1) + _gauss_loglik(A2, s2)
-            - _gauss_loglik(pooled, sp))
+    M1, M2 = A1.shape[0], A2.shape[0]
+    return float(split_dissimilarity(np.vstack([A1, A2]), 0, M1, M1 + M2,
+                                     "glr_gaussian", delta_reg))
 
 
-def _poisson_loglik(e: np.ndarray) -> float:
-    M = e.size
-    span = e[-1] - e[0]
-    if M < 2:
+def _poisson_loglik(count, span):
+    if np.any(count < 2):
         raise ValueError("event sequence must contain at least 2 events")
-    if span <= 0:
+    if np.any(span <= 0):
         raise ValueError("event span must be positive")
-    lam = (M - 1) / span
-    return (M - 1) * np.log(lam) - span * lam
+    lam = (count - 1) / span
+    return (count - 1) * np.log(lam) - span * lam
+
+
+def _poisson_glr(n1, span1, n2, span2, span_pooled):
+    return (_poisson_loglik(n1, span1) + _poisson_loglik(n2, span2)
+            - _poisson_loglik(n1 + n2, span_pooled))
+
+
+def _span(e: np.ndarray) -> float:
+    return e[-1] - e[0] if e.size else 0.0
 
 
 def glr_poisson(E1, E2) -> float:
@@ -112,8 +178,18 @@ def glr_poisson(E1, E2) -> float:
     """
     e1, e2 = as_events(E1), as_events(E2)
     pooled = np.sort(np.concatenate([e1, e2]))
-    return float(_poisson_loglik(e1) + _poisson_loglik(e2)
-                 - _poisson_loglik(pooled))
+    return float(_poisson_glr(e1.size, _span(e1), e2.size, _span(e2),
+                              _span(pooled)))
+
+
+def poisson_split_glr(e: np.ndarray, lo, mid, hi) -> np.ndarray:
+    """Poisson GLR of events e[lo:mid] against e[mid:hi], for index arrays.
+
+    Each window needs only its count and its first and last event.
+    """
+    lo, mid, hi = (np.asarray(i, dtype=np.int64) for i in (lo, mid, hi))
+    return _poisson_glr(mid - lo, e[mid - 1] - e[lo], hi - mid,
+                        e[hi - 1] - e[mid], e[hi - 1] - e[lo])
 
 
 @dataclass
@@ -133,23 +209,17 @@ def dissimilarity_profile(X, window: int, metric: str = "symkl",
                           delta_reg: float = DEFAULT_DELTA_REG) -> DissimilarityProfile:
     """Adjacent-window dissimilarity d(x[t-w:t], x[t:t+w]) for t in [w, T-w]."""
     A = as_series(X)
-    T = A.shape[0]
+    T, D = A.shape
     w = int(window)
     if w < 2:
         raise ValueError("window must be at least 2")
     if T < 2 * w:
         raise ValueError(f"series of length {T} too short for window {w}")
-    if metric not in ("symkl", "glr_gaussian"):
-        raise ValueError(f"unknown series metric {metric!r}")
+    if w <= D:
+        raise ValueError(f"window w={w} must exceed the dimension D={D}: "
+                         "every window covariance would be rank-deficient")
     ts = np.arange(w, T - w + 1)
-    vals = np.empty(ts.size)
-    for k, t in enumerate(ts):
-        left, right = A[t - w:t], A[t:t + w]
-        if metric == "symkl":
-            vals[k] = symkl(segment_stats(left, 0, w, delta_reg),
-                            segment_stats(right, 0, w, delta_reg))
-        else:
-            vals[k] = glr_gaussian(left, right, delta_reg)
+    vals = split_dissimilarity(A, ts - w, ts, ts + w, metric, delta_reg)
     return DissimilarityProfile(window=w, times=ts, values=vals)
 
 
@@ -168,10 +238,8 @@ def poisson_profile(E, window: float, step: float = 1.0) -> DissimilarityProfile
     if hi < lo:
         raise ValueError("event span too short for the window")
     ts = np.arange(lo, hi + step * 0.5, step)
+    a, b, c = (np.searchsorted(e, x) for x in (ts - window, ts, ts + window))
+    ok = (b - a >= 2) & (c - b >= 2)
     vals = np.zeros(ts.size)
-    for k, t in enumerate(ts):
-        left = e[(e >= t - window) & (e < t)]
-        right = e[(e >= t) & (e < t + window)]
-        if left.size >= 2 and right.size >= 2:
-            vals[k] = glr_poisson(left, right)
+    vals[ok] = poisson_split_glr(e, a[ok], b[ok], c[ok])
     return DissimilarityProfile(window=int(np.ceil(window)), times=ts, values=vals)

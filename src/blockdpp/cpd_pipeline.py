@@ -85,82 +85,58 @@ def pick_candidates(profile: metrics.DissimilarityProfile) -> CandidateSet:
     v = profile.values
     if v.size == 0:
         raise ValueError("empty profile")
-    mean = float(np.mean(v))
-    keep = []
-    for k in range(1, v.size - 1):
-        if v[k - 1] < v[k] >= v[k + 1] and v[k] > mean:
-            keep.append(k)
-    idx = np.asarray(keep, dtype=np.int64)
+    mid = v[1:-1]
+    keep = (v[:-2] < mid) & (mid >= v[2:]) & (mid > np.mean(v))
+    idx = np.flatnonzero(keep) + 1
     return CandidateSet(times=profile.times[idx], scores=v[idx], profile=profile)
 
 
-def _segment_metric(X, a: int, b: int, c: int, cfg: DetectionConfig,
-                    flags: List[int], cand_index: int) -> float:
-    # d(x[a:b], x[b:c]) with fallback to minimal valid windows when a side
-    # is degenerate (< 2 samples).
-    lo, hi = a, c
-    if b - a < 2:
-        lo = max(0, b - 2)
-        flags.append(cand_index)
-    if c - b < 2:
-        hi = min(X.shape[0], b + 2)
-        if cand_index not in flags:
-            flags.append(cand_index)
-    left, right = X[lo:b], X[b:hi]
-    if cfg.metric == "symkl":
-        return metrics.symkl(
-            metrics.segment_stats(left, 0, left.shape[0], cfg.delta_reg),
-            metrics.segment_stats(right, 0, right.shape[0], cfg.delta_reg))
-    return metrics.glr_gaussian(left, right, cfg.delta_reg)
+def _rescale(raw: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
+    q = (cfg.quality_gain * raw / np.mean(raw)) ** cfg.quality_exponent
+    return np.maximum(q, EPS_QUALITY)
+
+
+def _flanks(lo, mid, hi, n: int):
+    """Widen a side of [lo, mid) | [mid, hi) holding fewer than 2 items to
+    the 2 items next to mid; also return the indices of the widened splits."""
+    short_left, short_right = mid - lo < 2, hi - mid < 2
+    lo = np.where(short_left, np.maximum(mid - 2, 0), lo)
+    hi = np.where(short_right, np.minimum(mid + 2, n), hi)
+    return lo, hi, np.flatnonzero(short_left | short_right).tolist()
 
 
 def candidate_quality(X, cand: CandidateSet, cfg: DetectionConfig):
     """Per-candidate quality from the metric on the flanking segments.
 
     Segment boundaries are the neighbouring candidates, with the series ends
-    as sentinels.  Raw values are rescaled by the configured transform
-    q -> (gain * q / mean(q)) ** exponent and floored at a tiny positive
-    value so the kernel stays well-defined.
+    as sentinels; a side with fewer than 2 samples falls back to the minimal
+    window and the candidate is flagged.  Raw values are rescaled by the
+    configured transform q -> (gain * q / mean(q)) ** exponent and floored
+    at a tiny positive value so the kernel stays well-defined.
     """
     A = metrics.as_series(X)
     ts = cand.times.astype(np.int64)
-    n = ts.size
-    flags: List[int] = []
-    if n == 0:
-        return np.empty(0), flags
+    if ts.size == 0:
+        return np.empty(0), []
     bounds = np.concatenate([[0], ts, [A.shape[0]]])
-    raw = np.empty(n)
-    for i in range(n):
-        raw[i] = _segment_metric(A, int(bounds[i]), int(bounds[i + 1]),
-                                 int(bounds[i + 2]), cfg, flags, i)
-    raw = np.maximum(raw, EPS_QUALITY)
-    q = (cfg.quality_gain * raw / np.mean(raw)) ** cfg.quality_exponent
-    return np.maximum(q, EPS_QUALITY), flags
+    lo, hi, flags = _flanks(bounds[:-2], ts, bounds[2:], A.shape[0])
+    raw = metrics.split_dissimilarity(A, lo, ts, hi, cfg.metric, cfg.delta_reg)
+    return _rescale(np.maximum(raw, EPS_QUALITY), cfg), flags
 
 
 def _event_quality(E: np.ndarray, cand_times: np.ndarray,
                    cfg: DetectionConfig):
-    flags: List[int] = []
-    n = cand_times.size
-    if n == 0:
-        return np.empty(0), flags
+    if cand_times.size == 0:
+        return np.empty(0), []
     bounds = np.concatenate([[E[0]], cand_times, [E[-1] + cfg.event_step]])
-    raw = np.full(n, EPS_QUALITY)
-    for i in range(n):
-        b = bounds[i + 1]
-        left = E[(E >= bounds[i]) & (E < b)]
-        right = E[(E >= b) & (E < bounds[i + 2])]
-        if left.size < 2:
-            left = E[E < b][-2:]  # minimal enclosing window
-            flags.append(i)
-        if right.size < 2:
-            right = E[E >= b][:2]
-            if i not in flags:
-                flags.append(i)
-        if left.size >= 2 and right.size >= 2:
-            raw[i] = max(metrics.glr_poisson(left, right), EPS_QUALITY)
-    q = (cfg.quality_gain * raw / np.mean(raw)) ** cfg.quality_exponent
-    return np.maximum(q, EPS_QUALITY), flags
+    lo, mid, hi = (np.searchsorted(E, b)
+                   for b in (bounds[:-2], bounds[1:-1], bounds[2:]))
+    lo, hi, flags = _flanks(lo, mid, hi, E.size)
+    ok = (mid - lo >= 2) & (hi - mid >= 2)
+    raw = np.full(cand_times.size, EPS_QUALITY)
+    raw[ok] = np.maximum(metrics.poisson_split_glr(E, lo[ok], mid[ok], hi[ok]),
+                         EPS_QUALITY)
+    return _rescale(raw, cfg), flags
 
 
 def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,

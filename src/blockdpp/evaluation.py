@@ -49,21 +49,22 @@ def match_changes(detected, truth, tolerance: float) -> MatchResult:
     det = np.asarray(detected, dtype=np.float64).ravel()
     tru = np.asarray(truth, dtype=np.float64).ravel()
     cands = sorted(
-        ((abs(d - t), t, d) for d in det for t in tru if abs(d - t) <= tolerance),
+        ((abs(d - t), t, i, j) for i, d in enumerate(det)
+         for j, t in enumerate(tru) if abs(d - t) <= tolerance),
         key=lambda x: (x[0], x[1]),
     )
-    used_d, used_t = set(), set()
+    used_d, used_t = set(), set()   # indices, so repeated values count apart
     pairs = []
-    for dist, t, d in cands:
-        if d in used_d or t in used_t:
+    for _, _, i, j in cands:
+        if i in used_d or j in used_t:
             continue
-        used_d.add(d)
-        used_t.add(t)
-        pairs.append((float(d), float(t)))
+        used_d.add(i)
+        used_t.add(j)
+        pairs.append((float(det[i]), float(tru[j])))
     return MatchResult(
         pairs=pairs,
-        unmatched_detected=[float(d) for d in det if d not in used_d],
-        unmatched_truth=[float(t) for t in tru if t not in used_t],
+        unmatched_detected=[float(d) for i, d in enumerate(det) if i not in used_d],
+        unmatched_truth=[float(t) for j, t in enumerate(tru) if j not in used_t],
         tolerance=float(tolerance),
     )
 

@@ -215,12 +215,19 @@ def exhaustive_map(L, max_dim: int = 20) -> np.ndarray:
 
 
 def log_prob_unnormalized(L, C) -> float:
-    """log det of the selected submatrix; empty selection gives 0, singular -inf."""
-    A = mc.as_matrix(kernel_matrix(L))
+    """log det of the selected submatrix; empty selection gives 0, singular -inf.
+
+    Only the k x k selection is validated and factored (LAPACK Cholesky);
+    -inf means that factorisation failed.
+    """
+    A = np.asarray(kernel_matrix(L), dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     idx = mc.as_index_set(C, A.shape[0])
     if idx.size == 0:
         return 0.0
     try:
-        return mc.log_det(A[np.ix_(idx, idx)])
-    except SingularToTolerance:
+        F = cholesky(mc.as_matrix(A[np.ix_(idx, idx)]), lower=True)
+    except LinAlgError:
         return float("-inf")
+    return float(2.0 * np.sum(np.log(np.diagonal(F))))

@@ -95,12 +95,27 @@ def inverse_spd(M, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     A = as_matrix(M)
     if A.shape[0] == 0:
         return A.copy()
-    F = _chol_pivots(A, tol)
-    if np.any(np.diagonal(F) == 0.0):
-        raise SingularToTolerance("matrix is singular to tolerance")
-    Finv = solve_triangular(F, np.eye(A.shape[0]), lower=True)
-    inv = Finv.T @ Finv
+    inv, _ = inverse_logdet_spd(A, tol)
     return 0.5 * (inv + inv.T)
+
+
+def inverse_logdet_spd(C, tol: float = DEFAULT_PIVOT_TOL):
+    """Inverses and log-determinants of a stack (..., D, D) of SPD matrices.
+
+    One LAPACK Cholesky per matrix.  Raises SingularToTolerance when any
+    matrix is not positive definite or has a pivot at or below
+    tol * max(1, its largest diagonal entry).
+    """
+    C = np.asarray(C, dtype=np.float64)
+    try:
+        F = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        raise SingularToTolerance("matrix is not positive definite") from None
+    piv = np.diagonal(F, axis1=-2, axis2=-1)
+    thresh = tol * np.maximum(np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1), 1.0)
+    if np.any(piv * piv <= thresh[..., None]):
+        raise SingularToTolerance("matrix is singular to tolerance")
+    return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
 
 
 def schur_complement(M, a, b, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:

@@ -96,6 +96,16 @@ class TestMap:
         d = bio.load_json(out)
         assert d["oracle"] == [0, 2] and d["oracle_match"] is True
 
+    def test_tiny_pick_has_finite_log_det(self, tmp_path):
+        kf = tmp_path / "tiny.csv"
+        bio.save_matrix_csv(kf, np.diag([5e-11, 2.0]))
+        out = tmp_path / "map.json"
+        assert run("map", "--kernel", str(kf), "--mode", "blockwise",
+                   "--gamma", "0", "-o", str(out)) == 0
+        d = bio.load_json(out)
+        assert d["selected"] == [0, 1]
+        assert d["log_det"] == pytest.approx(np.log(1e-10), rel=1e-9)
+
     def test_oracle_too_large(self, kernel_file, tmp_path):
         assert run("map", "--kernel", str(kernel_file), "--oracle",
                    "-o", str(tmp_path / "x.json")) == 1
@@ -140,6 +150,12 @@ class TestDetect:
 
     def test_input_required(self, tmp_path):
         assert run("detect", "-o", str(tmp_path / "x.json")) == 2
+
+    def test_window_not_above_dimension_is_runtime_error(self, tmp_path):
+        ts = tmp_path / "wide.csv"
+        bio.save_series_csv(ts, np.random.default_rng(0).standard_normal((300, 80)))
+        assert run("detect", "--series", str(ts), "-w", "50",
+                   "-o", str(tmp_path / "x.json")) == 1
 
 
 class TestEval:

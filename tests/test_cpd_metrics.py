@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_oracles as oracle
 from blockdpp import cpd_metrics as cm
+from blockdpp.errors import SingularToTolerance
 
 
 def stats(mean, cov):
@@ -194,3 +197,66 @@ class TestProfiles:
             cm.poisson_profile([0.0, 1.0], 5.0)  # span too short
         with pytest.raises(ValueError):
             cm.poisson_profile([0.0, 100.0], -1.0)
+
+    def test_window_must_exceed_dimension(self):
+        X = np.random.default_rng(10).standard_normal((300, 80))
+        with pytest.raises(ValueError, match=r"w=50.*D=80"):
+            cm.dissimilarity_profile(X, 50)
+        with pytest.raises(ValueError, match=r"w=3.*D=3"):
+            cm.dissimilarity_profile(X[:, :3], 3)
+
+    def test_singular_window_raises(self):
+        X = np.concatenate([np.zeros(20), np.random.default_rng(11).standard_normal(40)])
+        with pytest.raises(SingularToTolerance):
+            cm.dissimilarity_profile(X, 10, delta_reg=0.0)
+        with pytest.raises(SingularToTolerance):
+            cm.dissimilarity_profile(np.full(60, 3.0), 10, "glr_gaussian",
+                                     delta_reg=0.0)
+
+
+class TestEngineAgainstLoops:
+    """The batched prefix-sum engine against the per-window loops."""
+
+    @settings(deadline=None)
+    @given(metric=st.sampled_from(["symkl", "glr_gaussian"]),
+           D=st.integers(1, 4), extra_w=st.integers(1, 20),
+           extra_t=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+           offset=st.sampled_from([0.0, 1e3, 1e5, 1e7]))
+    def test_series_profile(self, metric, D, extra_w, extra_t, seed, offset):
+        rng = np.random.default_rng(seed)
+        w = D + extra_w
+        T = 2 * w + extra_t
+        X = rng.standard_normal((T, D)) * rng.uniform(0.5, 2.0, D)
+        X[rng.integers(0, T):] += rng.normal(0.0, 2.0, D)
+        X += offset
+        fast = cm.dissimilarity_profile(X, w, metric)
+        ts, slow = oracle.dissimilarity_profile(X, w, metric)
+        assert np.array_equal(fast.times, ts)
+        np.testing.assert_allclose(fast.values, slow, rtol=1e-7,
+                                   atol=1e-7 * np.max(np.abs(slow)))
+
+    def test_pair_functions_match_loops(self):
+        rng = np.random.default_rng(12)
+        for D in (1, 3):
+            X1 = rng.standard_normal((15, D)) + 1e5
+            X2 = 2.0 * rng.standard_normal((20, D)) + 1e5
+            s = lambda X: cm.segment_stats(X, 0, X.shape[0])
+            o = lambda X: oracle.segment_stats(X, cm.DEFAULT_DELTA_REG)
+            assert cm.symkl(s(X1), s(X2)) == pytest.approx(
+                oracle.symkl(o(X1), o(X2)), rel=1e-7)
+            assert cm.glr_gaussian(X1, X2) == pytest.approx(
+                oracle.split_metric(np.vstack([X1, X2]), 0, 15, 35,
+                                    "glr_gaussian", cm.DEFAULT_DELTA_REG),
+                rel=1e-7)
+
+    @pytest.mark.parametrize("window,step", [(20.0, 1.0), (7.5, 0.3)])
+    def test_poisson_profile(self, window, step):
+        rng = np.random.default_rng(13)
+        e = np.cumsum(np.concatenate([rng.exponential(1.0, 150),
+                                      rng.exponential(0.25, 300),
+                                      rng.exponential(12.0, 40)]))
+        fast = cm.poisson_profile(e, window, step)
+        ts, slow = oracle.poisson_profile(e, window, step)
+        assert np.array_equal(fast.times, ts)
+        assert np.any(slow == 0.0) and np.any(slow > 0.0)
+        np.testing.assert_allclose(fast.values, slow, rtol=1e-12, atol=1e-9)

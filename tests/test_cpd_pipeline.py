@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_oracles as oracle
 from blockdpp import cpd_metrics as cm
 from blockdpp import cpd_pipeline as cp
 
@@ -91,6 +92,37 @@ class TestCandidateQuality:
         q, flags = cp.candidate_quality(X, cs, cp.DetectionConfig())
         assert flags  # the degenerate neighbours are flagged
         assert np.all(q > 0)
+
+
+    @pytest.mark.parametrize("metric", ["symkl", "glr_gaussian"])
+    def test_matches_loop(self, metric):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((300, 2)) + 1e5
+        X[120:] += [3.0, -1.0]
+        # degenerate neighbours at 2/3 and 297/298, ordinary ones between
+        times = np.array([2, 3, 40, 41, 120, 200, 297, 298])
+        cs = cp.CandidateSet(times=times, scores=np.ones(times.size),
+                             profile=profile([0.0]))
+        cfg = cp.DetectionConfig(metric=metric, quality_exponent=1.3)
+        q, flags = cp.candidate_quality(X, cs, cfg)
+        q_ref, flags_ref = oracle.candidate_quality(X, times, cfg,
+                                                    cp.EPS_QUALITY)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-7)
+        assert flags == flags_ref == [0, 1, 2, 3, 6, 7]
+
+    def test_event_quality_matches_loop(self):
+        rng = np.random.default_rng(4)
+        E = np.cumsum(np.concatenate([rng.exponential(1.0, 100),
+                                      rng.exponential(0.2, 200)]))
+        # neighbours closer than two events, a candidate before the second
+        # event, and ordinary candidates
+        times = np.array([E[1] - 1e-3, E[30], E[30] + 1e-6, E[99], E[150],
+                          E[-1] - 1e-3])
+        cfg = cp.DetectionConfig(metric="glr_poisson")
+        q, flags = cp._event_quality(E, times, cfg)
+        q_ref, flags_ref = oracle.event_quality(E, times, cfg, cp.EPS_QUALITY)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-12)
+        assert flags == flags_ref and 0 in flags and 1 in flags
 
 
 class TestBuildCpdKernel:

@@ -44,6 +44,10 @@ class TestPrecisionRecallF1:
         s = self.score([], [10.0])
         assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
 
+    def test_repeated_detection_is_a_false_positive(self):
+        s = self.score([100.0, 100.0], [100.0, 300.0])
+        assert (s.precision, s.recall) == (0.5, 0.5)
+
     def test_nothing_to_detect_and_nothing_detected(self):
         s = self.score([], [])
         assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)

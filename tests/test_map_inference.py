@@ -241,6 +241,13 @@ class TestLogProb:
         _, ref = np.linalg.slogdet(L[np.ix_(idx, idx)])
         assert mi.log_prob_unnormalized(L, idx) == pytest.approx(ref, abs=1e-9)
 
+    def test_tiny_greedy_pick_is_finite(self):
+        L = np.diag([5e-11, 2.0])
+        sel, _ = mi.blockwise_map(L, km.BlockPartition((1, 1), 0))
+        assert sel.tolist() == [0, 1]
+        assert mi.log_prob_unnormalized(L, sel) == pytest.approx(
+            np.log(1e-10), rel=1e-12)
+
     def test_singular_selection(self):
         v = np.array([1.0, 2.0])
         L = np.outer(v, v)
