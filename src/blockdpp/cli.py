@@ -10,7 +10,6 @@ command-line flags win.  Exit codes: 0 success, 1 runtime/data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -9,8 +9,8 @@ change-points by block-wise MAP inference.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
-from typing import Callable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import List
 
 import numpy as np
 
@@ -152,11 +152,7 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
     return kern, part
 
 
-PostFilter = Callable[[np.ndarray, "DetectionReport"], np.ndarray]
-
-
-def detect_change_points(X, cfg: DetectionConfig = DetectionConfig(),
-                         post_filter: Optional[PostFilter] = None) -> DetectionReport:
+def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> DetectionReport:
     """Full pipeline on a (T, D) series: profile, candidates, kernel, selection."""
     A = metrics.as_series(X)
     timings = {}
@@ -164,8 +160,7 @@ def detect_change_points(X, cfg: DetectionConfig = DetectionConfig(),
     prof = metrics.dissimilarity_profile(A, cfg.window, cfg.metric, cfg.delta_reg)
     timings["profile"] = (time.perf_counter() - t0) * 1e3
     return _select_from_profile(prof, cfg, timings,
-                                lambda cand: candidate_quality(A, cand, cfg),
-                                post_filter)
+                                lambda cand: candidate_quality(A, cand, cfg))
 
 
 def detect_change_points_events(E, cfg: DetectionConfig) -> DetectionReport:
@@ -176,11 +171,10 @@ def detect_change_points_events(E, cfg: DetectionConfig) -> DetectionReport:
     prof = metrics.poisson_profile(e, cfg.window, cfg.event_step)
     timings["profile"] = (time.perf_counter() - t0) * 1e3
     return _select_from_profile(prof, cfg, timings,
-                                lambda cand: _event_quality(e, cand.times, cfg),
-                                None)
+                                lambda cand: _event_quality(e, cand.times, cfg))
 
 
-def _select_from_profile(prof, cfg, timings, quality_fn, post_filter):
+def _select_from_profile(prof, cfg, timings, quality_fn):
     t0 = time.perf_counter()
     cand = pick_candidates(prof)
     timings["candidates"] = (time.perf_counter() - t0) * 1e3
@@ -205,13 +199,9 @@ def _select_from_profile(prof, cfg, timings, quality_fn, post_filter):
     sel_idx, _ = mi.blockwise_map(kern, part, solver)
     timings["inference"] = (time.perf_counter() - t0) * 1e3
 
-    selected = cand.times[np.sort(sel_idx)]
-    report = DetectionReport(config=cfg, candidates=cand, qualities=q,
-                             selected=selected,
-                             degenerate_candidates=flags, timings_ms=timings)
-    if post_filter is not None:
-        report.selected = np.asarray(post_filter(report.selected, report))
-    return report
+    return DetectionReport(config=cfg, candidates=cand, qualities=q,
+                           selected=cand.times[np.sort(sel_idx)],
+                           degenerate_candidates=flags, timings_ms=timings)
 
 
 def generate_piecewise_gaussian(seed: int, segments):

@@ -4,7 +4,7 @@ against full-kernel greedy inference."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -95,17 +95,12 @@ def roc_sweep(X, truth, cfg: cpd.DetectionConfig, sigma_grid,
     tol = cfg.window if tolerance is None else tolerance
     points = []
     for s in grid:
-        c = cpd.DetectionConfig(**{**_cfg_dict(cfg), "sigma": s})
+        c = replace(cfg, sigma=s)
         rep = (cpd.detect_change_points_events(X, c) if events
                else cpd.detect_change_points(X, c))
         score = precision_recall_f1(match_changes(rep.selected, truth, tol))
         points.append((s, 1.0 - score.precision, score.recall))
     return points
-
-
-def _cfg_dict(cfg: cpd.DetectionConfig) -> dict:
-    from dataclasses import asdict
-    return asdict(cfg)
 
 
 @dataclass
@@ -126,7 +121,6 @@ class MapBenchReport:
     per_gamma: List[GammaAggregate]
 
     def to_json_dict(self) -> dict:
-        from dataclasses import asdict
         return {
             "spec": asdict(self.spec),
             "n_kernels": self.n_kernels,
@@ -146,7 +140,6 @@ def _timed_median(fn, repeats: int = 3):
 
 def benchmark_map(spec: km.SyntheticKernelSpec, n_kernels: int,
                   gamma_list: Sequence[int] = (0, 2, 4, 6),
-                  sub_solver: mi.SubSolver = mi.greedy_map,
                   repeats: int = 3) -> MapBenchReport:
     """Block-wise MAP vs full-kernel greedy over random kernels.
 
@@ -160,17 +153,15 @@ def benchmark_map(spec: km.SyntheticKernelSpec, n_kernels: int,
     logr = {g: [] for g in gamma_list}
     timer = {g: [] for g in gamma_list}
     blocks = {g: [] for g in gamma_list}
-    from dataclasses import replace
     for k in range(n_kernels):
         kern, _ = km.generate_synthetic_kernel(replace(spec, seed=spec.seed + k))
-        base_sel, t_ref = _timed_median(lambda: sub_solver(kern.L), repeats)
+        base_sel, t_ref = _timed_median(lambda: mi.greedy_map(kern.L), repeats)
         p_ref = mi.log_prob_unnormalized(kern.L, base_sel)
         for g in gamma_list:
             part = km.gamma_partition(kern.L, g)
 
             def run():
-                sel, _ = mi.blockwise_map(kern.L, part, sub_solver,
-                                          collect_trace=False)
+                sel, _ = mi.blockwise_map(kern.L, part, collect_trace=False)
                 return sel
 
             sel, t = _timed_median(run, repeats)

@@ -7,20 +7,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matrix_core as mc
 from .kernel_model import BlockPartition
-
-MATRIX_SYMMETRY_TOL = 1e-9
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Square symmetric matrix; one CSV row per matrix row, no header."""
     A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"{path}: matrix is {A.shape[0]}x{A.shape[1]}, not square")
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if A.size and np.max(np.abs(A - A.T)) > MATRIX_SYMMETRY_TOL * scale:
-        raise ValueError(f"{path}: matrix is not symmetric to {MATRIX_SYMMETRY_TOL}")
-    return A
+    try:
+        return mc.as_matrix(A)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_matrix_csv(path, A) -> None:

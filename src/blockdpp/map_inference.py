@@ -25,8 +25,9 @@ from .kernel_model import BlockPartition, kernel_matrix
 # contributors).
 UNSELECTABLE_DIAG = 1e-12
 
-# Subsets per batched determinant call in exhaustive_map; bounds its memory
-# at n=20 to a few tens of MB.
+# Largest dimension exhaustive_map enumerates, and subsets per batched
+# determinant call; together they bound its memory to a few tens of MB.
+EXHAUSTIVE_MAX_DIM = 20
 EXHAUSTIVE_CHUNK = 4096
 
 SubSolver = Callable[[np.ndarray], np.ndarray]
@@ -107,16 +108,16 @@ class InferenceTrace:
 
 
 def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
-                  clamp_psd: bool = True,
                   collect_trace: bool = True) -> Tuple[np.ndarray, InferenceTrace]:
     """Sequential block-wise MAP inference.
 
     Each block's sub-kernel is the original diagonal block minus a Schur
     correction through the previous block's selected items (cross terms to
-    earlier blocks vanish by the almost-block-diagonal structure).  The
-    correction is clamped back to PSD (zero shift) before the sub-solver
-    runs, so float noise cannot leak negative eigenvalues into f.
-    collect_trace=False only drops the per-block records.
+    earlier blocks vanish by the almost-block-diagonal structure).  f gets
+    the symmetrised Schur complement as computed; its negative eigenvalues
+    are float noise (acceptance criterion 02 bounds them at -1e-8 times the
+    largest diagonal entry of L).  collect_trace=False only drops the
+    per-block records.
     """
     A = mc.as_matrix(kernel_matrix(L))
     if P.n != A.shape[0]:
@@ -138,8 +139,6 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
             X = solve_triangular(F, A[prev_sel, start:stop], lower=True)
             reduced -= X.T @ X
             reduced = 0.5 * (reduced + reduced.T)
-        if clamp_psd:
-            reduced = mc.psd_repair(reduced, eps=0.0)
         local = np.asarray(f(reduced), dtype=np.int64)
         if local.size and (local.min() < 0 or local.max() >= stop - start):
             raise IndexError("sub-solver returned out-of-range indices")
@@ -162,8 +161,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
 
 
 def blockwise_map_conditional_form(L, P: BlockPartition,
-                                   f: SubSolver = greedy_map,
-                                   clamp_psd: bool = True) -> np.ndarray:
+                                   f: SubSolver = greedy_map) -> np.ndarray:
     """Equivalent formulation via explicit conditional kernels.
 
     Block i's sub-problem is the kernel over the first i blocks conditioned
@@ -181,24 +179,22 @@ def blockwise_map_conditional_form(L, P: BlockPartition,
                 else np.empty(0, dtype=np.int64))
         a_out = np.setdiff1d(np.arange(start), prev)
         K = conditional_kernel(ground, prev, a_out)
-        if clamp_psd:
-            K = mc.psd_repair(K, eps=0.0)
         local = np.sort(np.asarray(f(K), dtype=np.int64))
         chosen.append(local + start)
     return (np.concatenate(chosen) if chosen
             else np.empty(0, dtype=np.int64))
 
 
-def exhaustive_map(L, max_dim: int = 20) -> np.ndarray:
+def exhaustive_map(L) -> np.ndarray:
     """Exact MAP by enumeration of all subsets.
 
     Ties break to the smaller cardinality, then the lexicographically
-    smallest index list.  Refuses dimensions above max_dim.
+    smallest index list.  Refuses dimensions above EXHAUSTIVE_MAX_DIM.
     """
     A = mc.as_matrix(kernel_matrix(L))
     n = A.shape[0]
-    if n > max_dim:
-        raise ValueError(f"dimension {n} exceeds exhaustive limit {max_dim}")
+    if n > EXHAUSTIVE_MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds exhaustive limit {EXHAUSTIVE_MAX_DIM}")
     best, best_det = np.empty(0, dtype=np.int64), 1.0  # the empty set, det 1
     for k in range(1, n + 1):
         subsets = combinations(range(n), k)   # lexicographic order

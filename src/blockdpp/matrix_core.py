@@ -8,8 +8,6 @@ functions of their inputs.  Index sets are strictly increasing arrays of
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -138,7 +136,7 @@ def schur_complement(M, a, b, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def min_eigenvalue(M, tol: float = 1e-10) -> float:
+def min_eigenvalue(M) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     A = as_matrix(M)
     if A.shape[0] == 0:

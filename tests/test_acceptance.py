@@ -56,8 +56,7 @@ def criterion1_runs():
             subsets = [np.flatnonzero(rng.random(b - a) < 0.4).astype(np.int64)
                        for a, b in part.ranges()]
             it = iter(subsets)
-            sel, trace = mi.blockwise_map(L, part, lambda K: next(it),
-                                          clamp_psd=False)
+            sel, trace = mi.blockwise_map(L, part, lambda K: next(it))
             lhs = mi.log_prob_unnormalized(L, np.sort(sel))
             rhs = sum(mc.log_det(b.reduced_selected_kernel)
                       for b in trace.blocks if b.selected.size)
@@ -81,7 +80,7 @@ def test_criterion_02_reduced_kernels_stay_psd():
     for seed in range(100):
         kern, part = km.generate_synthetic_kernel(small_kernel_spec(1000 + seed))
         max_diag = float(np.max(np.diagonal(kern.L)))
-        _, trace = mi.blockwise_map(kern.L, part, clamp_psd=False)
+        _, trace = mi.blockwise_map(kern.L, part)
         margins = margins + [mc.min_eigenvalue(b.reduced_kernel) / max_diag
                              for b in trace.blocks]
     report(2, "reduced sub-kernels PSD", min(margins) >= -1e-8)
@@ -92,7 +91,7 @@ def test_criterion_03_selected_inverse_identity():
     for seed in range(100):
         kern, part = km.generate_synthetic_kernel(small_kernel_spec(2000 + seed))
         L = kern.L
-        _, trace = mi.blockwise_map(L, part, clamp_psd=False)
+        _, trace = mi.blockwise_map(L, part)
         acc = []
         for b in trace.blocks:
             acc.extend(b.selected.tolist())

@@ -228,13 +228,6 @@ class TestDetectChangePoints:
         assert set(d) == {"config", "candidates", "selected", "timings_ms"}
         assert "timings_ms" not in rep.to_json_dict(include_timings=False)
 
-    def test_post_filter_applied(self):
-        X, _ = cp.generate_piecewise_gaussian(
-            3, [(150, 0.0, 1.0), (150, 3.0, 1.0)])
-        rep = cp.detect_change_points(X, cp.DetectionConfig(),
-                                      post_filter=lambda sel, r: sel[:0])
-        assert rep.selected.size == 0
-
 
 class TestDetectEvents:
     def test_two_rate_poisson(self):

@@ -24,6 +24,12 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             bio.load_matrix_csv(p)
 
+    def test_rejects_non_finite_naming_the_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,nan\nnan,1\n")
+        with pytest.raises(ValueError, match="m.csv"):
+            bio.load_matrix_csv(p)
+
 
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):

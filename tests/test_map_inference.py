@@ -131,6 +131,21 @@ class TestBlockwiseMap:
             sel, _ = mi.blockwise_map(L, part, collect_trace=collect_trace)
             assert np.array_equal(sel, ref), collect_trace
 
+    def test_subsolver_gets_block_unrepaired(self):
+        # lambda_min ~ -1e-9: float noise of the size criterion 02 allows;
+        # the block reaches the sub-solver and the trace exactly as given
+        L = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+        seen = []
+
+        def recording(K):
+            seen.append(K.copy())
+            return mi.greedy_map(K)
+
+        sel, trace = mi.blockwise_map(L, km.BlockPartition((2,), 0), recording)
+        assert len(seen) == 1 and np.array_equal(seen[0], L)
+        assert np.array_equal(trace.blocks[0].reduced_kernel, L)
+        assert np.array_equal(sel, [0])
+
     def test_trivial_partition_reduces_to_subsolver(self):
         for seed in range(5):
             L = random_spd(9, seed)
