@@ -9,13 +9,15 @@ enumerates all subsets and serves as the oracle in tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Callable, List, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg.lapack import dgesv, dpotrf
 
 from . import matrix_core as mc
 from .errors import SingularToTolerance
@@ -36,31 +38,37 @@ SubSolver = Callable[[np.ndarray], np.ndarray]
 def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     """Greedy MAP selection.
 
-    The first pick is the unconditional diagonal argmax (the classic
-    initialization); set require_initial_gain=True to also demand a
-    probability gain (diagonal > 1) for the first pick.  Ties break to the
-    lowest index.  Each pick conditions the kernel on it by a rank-one
-    Schur downdate.
+    The first pick is the unconditional diagonal argmax above
+    UNSELECTABLE_DIAG (the classic initialization); set
+    require_initial_gain=True to also demand a probability gain (diagonal
+    > 1) for the first pick.  Every later pick must have conditional
+    diagonal > 1.  Ties break to the lowest index.
+
+    Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
+    row t of the Cholesky factor of the picks, extended over all N items,
+    and d holds the conditional diagonal given the picks.  O(N k^2) time
+    and O(k N) memory for k picks.
     """
-    K = mc.as_matrix(kernel_matrix(L)).copy()
-    alive = np.ones(K.shape[0], dtype=bool)
+    A = mc.as_matrix(kernel_matrix(L))
+    d = A.diagonal().copy()
+    # conditional diagonals only shrink, so only items with A_ii > 1 can
+    # follow the first pick
+    C = np.empty((min(d.size, 1 + int(np.count_nonzero(d > 1.0))), d.size))
     picks: List[int] = []
-    first = True
-    while alive.any():
-        diag = np.where(alive, np.diagonal(K), -np.inf)
-        diag = np.where(diag > UNSELECTABLE_DIAG, diag, -np.inf)
-        if require_initial_gain or not first:
-            diag = np.where(diag > 1.0, diag, -np.inf)
-        best = int(np.argmax(diag))
-        if not np.isfinite(diag[best]):
+    floor = 1.0 if require_initial_gain else UNSELECTABLE_DIAG
+    for k in range(C.shape[0]):
+        j = int(d.argmax())
+        dj = d[j]
+        if not dj > floor:
             break
-        piv = K[best, best]
-        alive[best] = False
-        picks.append(best)
-        col = np.where(alive, K[:, best], 0.0)
-        K -= np.outer(col, col) / piv
-        first = False
-    return np.sort(np.asarray(picks, dtype=np.int64))
+        e = (A[j] - np.dot(C[:k, j], C[:k])) * (1.0 / math.sqrt(dj))
+        C[k] = e
+        d -= e * e
+        d[j] = -np.inf
+        picks.append(j)
+        floor = 1.0
+    picks.sort()
+    return np.array(picks, dtype=np.int64)
 
 
 def conditional_kernel(L, a_in, a_out) -> np.ndarray:
@@ -113,49 +121,57 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
 
     Each block's sub-kernel is the original diagonal block minus a Schur
     correction through the previous block's selected items (cross terms to
-    earlier blocks vanish by the almost-block-diagonal structure).  f gets
-    the symmetrised Schur complement as computed; its negative eigenvalues
-    are float noise (acceptance criterion 02 bounds them at -1e-8 times the
-    largest diagonal entry of L).  collect_trace=False only drops the
-    per-block records.
+    earlier blocks vanish by the almost-block-diagonal structure).  The
+    correction touches only the block's leading columns up to the last one
+    with a nonzero cross entry from those items, and is skipped when there
+    is none, so exact zeros stay exact.  f gets that block, with the
+    corrected part symmetrised; its negative eigenvalues are float noise
+    (acceptance criterion 02 bounds them at -1e-8 times the largest
+    diagonal entry of L).  collect_trace=False only drops the per-block
+    records.
     """
     A = mc.as_matrix(kernel_matrix(L))
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     trace = InferenceTrace()
     selected: List[np.ndarray] = []
-    prev_sel = np.empty(0, dtype=np.int64)      # global indices
-    prev_reduced_sel = np.empty((0, 0))         # their reduced kernel
+    # the previous block's picks, global and local, and its reduced kernel
+    prev_sel = prev_local = np.empty(0, dtype=np.int64)
+    prev_reduced = None
     for start, stop in P.ranges():
         t0 = time.perf_counter()
         reduced = A[start:stop, start:stop].copy()
         if prev_sel.size:
-            try:
-                F = cholesky(prev_reduced_sel, lower=True)
-            except LinAlgError as exc:
-                raise SingularToTolerance(
-                    f"selected reduced kernel of the block before [{start}, "
-                    f"{stop}) is not positive definite: {exc}") from None
-            X = solve_triangular(F, A[prev_sel, start:stop], lower=True)
-            reduced -= X.T @ X
-            reduced = 0.5 * (reduced + reduced.T)
-        local = np.asarray(f(reduced), dtype=np.int64)
-        if local.size and (local.min() < 0 or local.max() >= stop - start):
+            cross = A[prev_sel, start:stop]
+            cols = np.flatnonzero(cross.any(axis=0))
+            if cols.size:
+                c = int(cols[-1]) + 1
+                # raw LAPACK, and an LU solve in place of a triangular one:
+                # on systems this small a threaded BLAS trsm (trtrs,
+                # solve_triangular) costs far more than the solve itself
+                F, info = dpotrf(prev_reduced[prev_local[:, None], prev_local],
+                                 lower=1)
+                if info:
+                    raise SingularToTolerance(
+                        f"selected reduced kernel of the block before [{start}, "
+                        f"{stop}) is not positive definite (potrf info {info})")
+                X = dgesv(F, cross[:, :c])[2]
+                S = reduced[:c, :c] - X.T @ X
+                reduced[:c, :c] = 0.5 * (S + S.T)
+        local = np.sort(np.asarray(f(reduced), dtype=np.int64))
+        if local.size and (local[0] < 0 or local[-1] >= stop - start):
             raise IndexError("sub-solver returned out-of-range indices")
-        local = np.sort(local)
         global_sel = local + start
-        reduced_sel = reduced[np.ix_(local, local)]
         if collect_trace:
             trace.blocks.append(BlockTrace(
                 span=(start, stop),
                 reduced_kernel=reduced,
                 selected=global_sel,
-                reduced_selected_kernel=reduced_sel,
+                reduced_selected_kernel=reduced[local[:, None], local],
                 ms=(time.perf_counter() - t0) * 1e3,
             ))
         selected.append(global_sel)
-        prev_sel = global_sel
-        prev_reduced_sel = reduced_sel
+        prev_sel, prev_local, prev_reduced = global_sel, local, reduced
     out = np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)
     return out, trace
 

@@ -8,6 +8,8 @@ functions of their inputs.  Index sets are strictly increasing arrays of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -15,18 +17,37 @@ from .errors import NonFinite, NotPositiveSemiDefinite, SingularToTolerance
 
 DEFAULT_PIVOT_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
+# rows per tile of as_matrix's symmetry scan; keeps its temporaries small
+SYMMETRY_TILE = 64
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a square float64 array, checking finiteness and symmetry."""
+    """Coerce to a square float64 array, checking finiteness and symmetry.
+
+    One scan over row tiles of the upper triangle, with no N x N
+    temporary, finds max |A_ij - A_ji|, which is NaN or infinite when some
+    entry is.  The tolerance scales with max(1, max |A_ij|), taken only
+    when that asymmetry exceeds SYMMETRY_TOL.
+    """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    n = A.shape[0]
+    asym = 0.0
+    with np.errstate(invalid="ignore"):     # inf - inf on the diagonal
+        for i in range(0, n, SYMMETRY_TILE):
+            j = min(i + SYMMETRY_TILE, n)
+            m = float(abs(A[i:j, i:] - A[i:, i:j].T).max())
+            if not m <= asym:          # larger, or NaN
+                asym = m
+                if not math.isfinite(m):
+                    break
+    if not math.isfinite(asym) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if A.size and np.max(np.abs(A - A.T)) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric to tolerance")
+    if asym > SYMMETRY_TOL:
+        scale = max(1.0, float(A.max()), -float(A.min()))
+        if asym > SYMMETRY_TOL * scale:
+            raise ValueError("matrix is not symmetric to tolerance")
     return A
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
+from blockdpp.errors import SingularToTolerance
 
 
 def random_spd(n, seed, scale=2.0):
@@ -23,8 +24,9 @@ def synthetic(N=60, seed=0, overlaps=(0, 2, 4), blocks=(10, 20), d=80):
 def greedy_reference(L, require_initial_gain=False):
     """Greedy MAP from the defining formula of the conditional kernel.
 
-    After each pick, K* = ([(K + I_rest)^-1]_rest)^-1 - I.  The oracle for
-    greedy_map's rank-one downdates.
+    After each pick, K* = ([(K + I_rest)^-1]_rest)^-1 - I.  An oracle for
+    greedy_map's incremental Cholesky factor, independent of both it and
+    greedy_downdate.
     """
     A = np.asarray(L, dtype=np.float64)
     remaining = list(range(A.shape[0]))
@@ -49,6 +51,69 @@ def greedy_reference(L, require_initial_gain=False):
         remaining = [remaining[j] for j in rest]
         first = False
     return np.sort(np.asarray(selected, dtype=np.int64))
+
+
+def greedy_downdate(L, require_initial_gain=False):
+    """Greedy MAP by a rank-one Schur downdate of a full N x N copy per pick.
+
+    O(N^2 k); greedy_map's implementation before the incremental Cholesky
+    factor, kept as the oracle that greedy_map must match pick for pick.
+    """
+    K = np.array(L, dtype=np.float64)
+    alive = np.ones(K.shape[0], dtype=bool)
+    picks = []
+    first = True
+    while alive.any():
+        diag = np.where(alive, np.diagonal(K), -np.inf)
+        diag = np.where(diag > mi.UNSELECTABLE_DIAG, diag, -np.inf)
+        if require_initial_gain or not first:
+            diag = np.where(diag > 1.0, diag, -np.inf)
+        best = int(np.argmax(diag))
+        if not np.isfinite(diag[best]):
+            break
+        piv = K[best, best]
+        alive[best] = False
+        picks.append(best)
+        col = np.where(alive, K[:, best], 0.0)
+        K -= np.outer(col, col) / piv
+        first = False
+    return np.sort(np.asarray(picks, dtype=np.int64))
+
+
+# Isolated items whose diagonal sits just below, at and just above the two
+# selection thresholds: UNSELECTABLE_DIAG for a first pick, 1 after it.
+THRESHOLD_DIAGONALS = (1e-12 * (1 - 1e-9), 1e-12, 1e-12 * (1 + 1e-9),
+                       1 - 1e-12, 1.0, 1 + 1e-12)
+
+
+def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed):
+    """A synthetic kernel, optionally scaled like map_sparse (divided by the
+    90th-percentile diagonal) or to a diagonal around UNSELECTABLE_DIAG,
+    with its diagonal optionally rounded up to a coarse grid (many exact
+    ties), extended by isolated items and symmetrically permuted."""
+    L, _ = synthetic(N=N, seed=seed, overlaps=(0, 2, 4), blocks=(5, 15),
+                     d=N + 10)
+    if sparse:
+        L = L / np.quantile(np.diagonal(L), 0.9)
+    if tiny:
+        L = L * (mi.UNSELECTABLE_DIAG / np.median(np.diagonal(L)))
+    if ties:
+        step = np.median(np.diagonal(L)) / 4
+        np.fill_diagonal(L, np.ceil(np.diagonal(L) / step) * step)
+    n = N + len(isolated)
+    K = np.zeros((n, n))
+    K[:N, :N] = L
+    K[np.arange(N, n), np.arange(N, n)] = isolated
+    p = np.random.default_rng(perm_seed).permutation(n)
+    return K[np.ix_(p, p)]
+
+
+def recording_greedy(seen):
+    """greedy_map as a sub-solver that keeps a copy of every block it gets."""
+    def solve(K):
+        seen.append(K.copy())
+        return mi.greedy_map(K)
+    return solve
 
 
 class TestGreedyMap:
@@ -84,6 +149,17 @@ class TestGreedyMap:
 
     def test_empty_kernel(self):
         assert mi.greedy_map(np.zeros((0, 0))).size == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(N=st.integers(10, 70), seed=st.integers(0, 2**31 - 1),
+           sparse=st.booleans(), ties=st.booleans(), tiny=st.booleans(),
+           isolated=st.lists(st.sampled_from(THRESHOLD_DIAGONALS), max_size=6),
+           perm_seed=st.integers(0, 2**31 - 1), gain=st.booleans())
+    def test_same_picks_as_downdate(self, N, seed, sparse, ties, tiny,
+                                    isolated, perm_seed, gain):
+        L = greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed)
+        assert np.array_equal(mi.greedy_map(L, require_initial_gain=gain),
+                              greedy_downdate(L, require_initial_gain=gain))
 
     def test_never_picks_zero_diagonal(self):
         L = np.diag([2.0, 0.0, 3.0])
@@ -145,6 +221,52 @@ class TestBlockwiseMap:
         assert len(seen) == 1 and np.array_equal(seen[0], L)
         assert np.array_equal(trace.blocks[0].reduced_kernel, L)
         assert np.array_equal(sel, [0])
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_schur_step_skipped_without_cross_entries_from_picks(
+            self, collect_trace):
+        # item 1 couples the blocks but is not picked (0.6 - 0.5**2 / 3 < 1)
+        L = np.array([[3.0, 0.5, 0.0, 0.0],
+                      [0.5, 0.6, 0.4, 0.0],
+                      [0.0, 0.4, 2.0, 0.3],
+                      [0.0, 0.0, 0.3, 1.5]])
+        part = km.BlockPartition((2, 2), 1)
+        seen = []
+        sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
+                                  collect_trace)
+        assert sel.tolist() == [0, 2, 3]
+        assert np.array_equal(sel, mi.blockwise_map_conditional_form(L, part))
+        assert np.array_equal(seen[1], L[2:, 2:])
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_schur_step_restricted_to_leading_columns(self, collect_trace):
+        # gamma = 3, but the cross entries of block 0 reach only column 4
+        B = np.random.default_rng(0).standard_normal((12, 8))
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[:4, :4] = mask[4:, 4:] = True
+        mask[2:4, 4] = mask[4, 2:4] = True
+        L = mc.psd_repair(np.where(mask, B.T @ B, 0.0), eps=1e-8)
+        part = km.BlockPartition((4, 4), 3)
+        seen = []
+        sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
+                                  collect_trace)
+        assert sel.tolist() == list(range(8))
+        assert np.array_equal(sel, mi.blockwise_map_conditional_form(L, part))
+        K = seen[1]
+        assert np.array_equal(K[1:], L[5:, 4:])
+        assert np.array_equal(K[:, 1:], L[4:, 5:])
+        S = mc.schur_complement(L, [0, 1, 2, 3], [4, 5, 6, 7])
+        assert K[0, 0] == pytest.approx(S[0, 0], rel=1e-12)
+        assert K[0, 0] < L[4, 4]
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_singular_selection_from_subsolver_raises(self, collect_trace):
+        v = np.array([1.0, 1.0, 0.5])
+        L = np.outer(v, v) + np.diag([0.0, 0.0, 0.75])
+        take_all = lambda K: np.arange(K.shape[0])
+        with pytest.raises(SingularToTolerance):
+            mi.blockwise_map(L, km.BlockPartition((2, 1), 1), take_all,
+                             collect_trace)
 
     def test_trivial_partition_reduces_to_subsolver(self):
         for seed in range(5):

@@ -24,9 +24,36 @@ class TestAsMatrix:
         with pytest.raises(NonFinite):
             mc.as_matrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "upper", "last tile"])
+    def test_rejects_each_non_finite_value(self, bad, where):
+        n = 2 * mc.SYMMETRY_TILE + 5
+        A = random_spd(n, 0)
+        i, j = {"diagonal": (3, 3), "upper": (0, n - 1),
+                "last tile": (n - 1, n - 2)}[where]
+        A[i, j] = bad      # one entry only: also asymmetric, NonFinite wins
+        with pytest.raises(NonFinite):
+            mc.as_matrix(A)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             mc.as_matrix([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("i, j", [
+        (-1, -3), (-3, -1),                   # inside the last row tile
+        (mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),   # pair straddles a tile
+        (mc.SYMMETRY_TILE + 1, mc.SYMMETRY_TILE - 2),  # boundary, both ways
+    ])
+    def test_symmetry_scan_covers_every_tile(self, i, j):
+        n = 2 * mc.SYMMETRY_TILE + 5
+        A = 10.0 * random_spd(n, 1)
+        tol = mc.SYMMETRY_TOL * np.abs(A).max()
+        B = A.copy()
+        B[i, j] += 0.5 * tol
+        assert mc.as_matrix(B) is B
+        B[i, j] += 2.0 * tol
+        with pytest.raises(ValueError, match="not symmetric"):
+            mc.as_matrix(B)
 
     def test_accepts_empty(self):
         assert mc.as_matrix(np.zeros((0, 0))).shape == (0, 0)
