@@ -1,7 +1,7 @@
 """Block-wise MAP inference for determinantal point processes and
 DPP-based change-point detection."""
 
-from .errors import NonFinite, NotPositiveSemiDefinite, SingularToTolerance
+from .errors import NonFinite, SingularToTolerance
 from .kernel_model import (
     BlockPartition,
     DppKernel,
@@ -14,8 +14,6 @@ from .kernel_model import (
 )
 from .map_inference import (
     blockwise_map,
-    blockwise_map_conditional_form,
-    conditional_kernel,
     exhaustive_map,
     greedy_map,
     log_prob_unnormalized,

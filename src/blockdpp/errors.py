@@ -1,12 +1,9 @@
 """Shared exception types for numerical contract violations."""
 
 
-class NotPositiveSemiDefinite(ArithmeticError):
-    """A Cholesky pivot fell below the negative tolerance."""
-
-
 class SingularToTolerance(ArithmeticError):
-    """A matrix required to be invertible has a pivot at or below tolerance."""
+    """A matrix required to be positive definite is not, or has a pivot at or
+    below tolerance."""
 
 
 class NonFinite(ValueError):

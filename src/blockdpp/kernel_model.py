@@ -60,11 +60,10 @@ class BlockPartition:
 
 @dataclass
 class DppKernel:
-    """PSD kernel matrix, optionally carrying its quality/similarity factors."""
+    """PSD kernel matrix, optionally carrying its quality factors."""
 
     L: np.ndarray
     quality: Optional[np.ndarray] = None
-    similarity: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -101,7 +100,7 @@ class SyntheticKernelSpec:
 
 
 def build_quality_diversity_kernel(q, S) -> DppKernel:
-    """L = diag(q) @ S @ diag(q) with provenance recorded."""
+    """L = diag(q) @ S @ diag(q), keeping q alongside L."""
     q = np.asarray(q, dtype=np.float64).ravel()
     S = mc.as_matrix(S)
     if q.size != S.shape[0]:
@@ -111,7 +110,7 @@ def build_quality_diversity_kernel(q, S) -> DppKernel:
     if q.size and mc.min_eigenvalue(S) < -1e-8:
         raise ValueError("similarity matrix is not PSD to tolerance")
     L = q[:, None] * S * q[None, :]
-    return DppKernel(L=L, quality=q.copy(), similarity=S.copy())
+    return DppKernel(L=L, quality=q.copy())
 
 
 def gaussian_position_similarity(times, sigma: float,
@@ -134,24 +133,27 @@ def gaussian_position_similarity(times, sigma: float,
 
 
 def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
-    """Boolean mask over cut positions 1..n-1 (index c marks the cut before row c).
+    """Boolean mask over cut positions 0..n-1 (entry p marks the cut before
+    row p; entry 0 is unused).
 
-    A nonzero entry (r, c') with c' - r > gamma forbids every cut c in
-    (r, c'] except none; with c' - r <= gamma it forbids cuts outside
-    [c'-gamma+1, r+gamma], which is the whole interval, so it forbids none.
+    Cut p is valid at gamma iff every entry |L_rc| > eps_zero with r < p <= c
+    lies in the gamma x gamma corner r >= p - gamma, c < p + gamma.  With
+    reach[r] the last column c >= r with |L_rc| > eps_zero (r itself when
+    there is none) and M its prefix max, p is invalid iff M[p-1] >= p + gamma
+    (a row above the cut reaches too far right) or M[p-gamma-1] >= p (a row
+    above the corner crosses the cut).
     """
     n = L.shape[0]
-    rows, cols = np.nonzero(np.triu(np.abs(L) > eps_zero, 1))
-    keep = cols - rows > gamma
-    r, c = rows[keep], cols[keep]
-    diff = np.zeros(n + 2, dtype=np.int64)
-    # invalid interval 1: cuts in [r+1, c-gamma]
-    np.add.at(diff, r + 1, 1)
-    np.add.at(diff, c - gamma + 1, -1)
-    # invalid interval 2: cuts in [r+gamma+1, c]
-    np.add.at(diff, r + gamma + 1, 1)
-    np.add.at(diff, c + 1, -1)
-    return np.cumsum(diff)[:n] > 0  # position 0 unused
+    nz = np.abs(L) > eps_zero
+    last = n - 1 - np.argmax(nz[:, ::-1], axis=1)
+    last[~nz.any(axis=1)] = 0
+    M = np.maximum.accumulate(np.maximum(last, np.arange(n)))
+    p = np.arange(n)
+    invalid = M[p - 1] >= p + gamma
+    k = max(n - gamma - 1, 0)          # cuts p >= gamma + 1
+    invalid[n - k:] |= M[:k] >= p[n - k:]
+    invalid[:1] = False
+    return invalid
 
 
 def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockPartition:
@@ -164,11 +166,9 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     n = A.shape[0]
-    invalid = _invalid_cuts(A, gamma, eps_zero)
-    cuts = [c for c in range(1, n) if not invalid[c]]
-    bounds = [0] + cuts + [n]
-    sizes = tuple(b - a for a, b in zip(bounds[:-1], bounds[1:]))
-    return BlockPartition(sizes, gamma)
+    # entry 0 of the mask is always False, so the bounds start at 0
+    bounds = np.flatnonzero(~_invalid_cuts(A, gamma, eps_zero)).tolist() + [n]
+    return BlockPartition(tuple(np.diff(bounds).tolist()), gamma)
 
 
 def validate_partition(L, P: BlockPartition,
@@ -177,8 +177,7 @@ def validate_partition(L, P: BlockPartition,
     A = kernel_matrix(L)
     if P.n != A.shape[0]:
         raise ValueError("partition size does not match kernel dimension")
-    invalid = _invalid_cuts(A, P.gamma, eps_zero)
-    return not any(invalid[c] for c in P.cuts())
+    return not _invalid_cuts(A, P.gamma, eps_zero)[P.cuts()].any()
 
 
 def generate_synthetic_kernel(spec: SyntheticKernelSpec):

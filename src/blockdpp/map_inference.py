@@ -16,8 +16,6 @@ from itertools import chain, combinations, islice
 from typing import Callable, List, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
-from scipy.linalg.lapack import dgesv, dpotrf
 
 from . import matrix_core as mc
 from .errors import SingularToTolerance
@@ -71,34 +69,6 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     return np.array(picks, dtype=np.int64)
 
 
-def conditional_kernel(L, a_in, a_out) -> np.ndarray:
-    """Kernel of the DPP conditioned on a_in included and a_out excluded.
-
-    Returned over the surviving indices (everything outside a_in and a_out,
-    in increasing order):  ([ (L_rest + I_keep)^-1 ]_keep)^-1 - I, where
-    rest drops a_out and keep additionally drops a_in.
-    """
-    A = mc.as_matrix(kernel_matrix(L))
-    n = A.shape[0]
-    ain = mc.as_index_set(a_in, n)
-    aout = mc.as_index_set(a_out, n)
-    if np.intersect1d(ain, aout).size:
-        raise ValueError("a_in and a_out must be disjoint")
-    rest = np.setdiff1d(np.arange(n), aout)
-    keep_local = np.flatnonzero(~np.isin(rest, ain))
-    in_local = np.flatnonzero(np.isin(rest, ain))
-    Ar = A[np.ix_(rest, rest)]
-    shift = np.zeros_like(Ar)
-    shift[keep_local, keep_local] = 1.0
-    try:
-        inner = np.linalg.inv(Ar + shift)
-        K = np.linalg.inv(inner[np.ix_(keep_local, keep_local)])
-    except np.linalg.LinAlgError as exc:
-        raise SingularToTolerance(str(exc)) from None
-    K = K - np.eye(keep_local.size)
-    return 0.5 * (K + K.T)
-
-
 @dataclass
 class BlockTrace:
     """What happened in one block of a block-wise inference run."""
@@ -146,16 +116,18 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
             cols = np.flatnonzero(cross.any(axis=0))
             if cols.size:
                 c = int(cols[-1]) + 1
-                # raw LAPACK, and an LU solve in place of a triangular one:
-                # on systems this small a threaded BLAS trsm (trtrs,
-                # solve_triangular) costs far more than the solve itself
-                F, info = dpotrf(prev_reduced[prev_local[:, None], prev_local],
-                                 lower=1)
-                if info:
+                # no pivot tolerance: greedy may pick items just above
+                # UNSELECTABLE_DIAG, and they must still condition this block.
+                # An LU solve in place of a triangular one: on systems this
+                # small a threaded BLAS trsm costs far more than the solve.
+                try:
+                    F = np.linalg.cholesky(
+                        prev_reduced[prev_local[:, None], prev_local])
+                except np.linalg.LinAlgError:
                     raise SingularToTolerance(
                         f"selected reduced kernel of the block before [{start}, "
-                        f"{stop}) is not positive definite (potrf info {info})")
-                X = dgesv(F, cross[:, :c])[2]
+                        f"{stop}) is not positive definite") from None
+                X = np.linalg.solve(F, cross[:, :c])
                 S = reduced[:c, :c] - X.T @ X
                 reduced[:c, :c] = 0.5 * (S + S.T)
         local = np.sort(np.asarray(f(reduced), dtype=np.int64))
@@ -174,31 +146,6 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
         prev_sel, prev_local, prev_reduced = global_sel, local, reduced
     out = np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)
     return out, trace
-
-
-def blockwise_map_conditional_form(L, P: BlockPartition,
-                                   f: SubSolver = greedy_map) -> np.ndarray:
-    """Equivalent formulation via explicit conditional kernels.
-
-    Block i's sub-problem is the kernel over the first i blocks conditioned
-    on the previous selections being in and everything else previously seen
-    being out.  Must return the same set as blockwise_map for any
-    deterministic f; kept as a cross-check oracle.
-    """
-    A = mc.as_matrix(kernel_matrix(L))
-    if P.n != A.shape[0]:
-        raise ValueError("partition does not match kernel dimension")
-    chosen: List[np.ndarray] = []
-    for start, stop in P.ranges():
-        ground = A[:stop, :stop]
-        prev = (np.concatenate(chosen) if chosen
-                else np.empty(0, dtype=np.int64))
-        a_out = np.setdiff1d(np.arange(start), prev)
-        K = conditional_kernel(ground, prev, a_out)
-        local = np.sort(np.asarray(f(K), dtype=np.int64))
-        chosen.append(local + start)
-    return (np.concatenate(chosen) if chosen
-            else np.empty(0, dtype=np.int64))
 
 
 def exhaustive_map(L) -> np.ndarray:
@@ -229,8 +176,8 @@ def exhaustive_map(L) -> np.ndarray:
 def log_prob_unnormalized(L, C) -> float:
     """log det of the selected submatrix; empty selection gives 0, singular -inf.
 
-    Only the k x k selection is validated and factored (LAPACK Cholesky);
-    -inf means that factorisation failed.
+    Only the k x k selection is validated and factored (LAPACK Cholesky,
+    with no pivot tolerance); -inf means that factorisation failed.
     """
     A = np.asarray(kernel_matrix(L), dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -239,7 +186,7 @@ def log_prob_unnormalized(L, C) -> float:
     if idx.size == 0:
         return 0.0
     try:
-        F = cholesky(mc.as_matrix(A[np.ix_(idx, idx)]), lower=True)
-    except LinAlgError:
+        F = np.linalg.cholesky(mc.as_matrix(A[np.ix_(idx, idx)]))
+    except np.linalg.LinAlgError:
         return float("-inf")
     return float(2.0 * np.sum(np.log(np.diagonal(F))))

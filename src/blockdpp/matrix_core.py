@@ -1,5 +1,10 @@
-"""Dense symmetric-matrix primitives: Cholesky, log-determinant, inversion,
-Schur complements, eigenvalue bounds.
+"""Dense symmetric-matrix primitives, numpy only: the finiteness and
+symmetry check, log-determinant and inversion, eigenvalue bounds.
+
+One LAPACK Cholesky with a pivot tolerance (``_cholesky_pivots``) sits
+behind ``log_det``, ``inverse_spd`` and the batched ``inverse_logdet_spd``:
+a matrix that is not positive definite, or has a squared pivot at or below
+tol * max(1, its largest diagonal entry), raises SingularToTolerance.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -11,9 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import NonFinite, NotPositiveSemiDefinite, SingularToTolerance
+from .errors import NonFinite, SingularToTolerance
 
 DEFAULT_PIVOT_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
@@ -62,51 +66,32 @@ def as_index_set(idx, n: int) -> np.ndarray:
     return a
 
 
-def principal_submatrix(M, idx) -> np.ndarray:
-    """Square submatrix of M on the given indices; empty idx gives 0x0."""
-    A = np.asarray(M, dtype=np.float64)
-    a = as_index_set(idx, A.shape[0])
-    return A[np.ix_(a, a)].copy()
+def _cholesky_pivots(C: np.ndarray, tol: float) -> np.ndarray:
+    """Diagonal of the LAPACK Cholesky factor of each matrix in a stack.
 
-
-def _chol_pivots(A: np.ndarray, tol: float):
-    """Outer-product Cholesky tolerating zero pivots.
-
-    Returns the lower factor.  Pivots in (-thresh, thresh] are flushed to
-    zero together with their column; pivots below -thresh raise.
+    Raises SingularToTolerance when a matrix is not positive definite or
+    has a squared pivot at or below tol * max(1, its largest diagonal entry).
     """
-    n = A.shape[0]
-    F = np.array(A, dtype=np.float64, copy=True)
-    max_diag = float(np.max(np.diagonal(A))) if n else 0.0
-    thresh = tol * max(max_diag, 1.0)
-    for k in range(n):
-        d = F[k, k] - np.dot(F[k, :k], F[k, :k])
-        if d < -thresh:
-            raise NotPositiveSemiDefinite(
-                f"pivot {d:.3e} below -{thresh:.3e} at step {k}"
-            )
-        if d <= thresh:
-            F[k:, k] = 0.0
-            continue
-        p = np.sqrt(d)
-        F[k, k] = p
-        if k + 1 < n:
-            F[k + 1:, k] = (A[k + 1:, k] - F[k + 1:, :k] @ F[k, :k]) / p
-    return np.tril(F)
-
-
-def cholesky_psd(M, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
-    """Lower-triangular F with F @ F.T == M for PSD M (to tolerance)."""
-    return _chol_pivots(as_matrix(M), tol)
+    try:
+        F = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        raise SingularToTolerance("matrix is not positive definite") from None
+    piv = np.diagonal(F, axis1=-2, axis2=-1)
+    thresh = tol * np.maximum(np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1), 1.0)
+    if np.any(piv * piv <= thresh[..., None]):
+        raise SingularToTolerance("matrix is singular to tolerance")
+    return piv
 
 
 def log_det(M, tol: float = DEFAULT_PIVOT_TOL) -> float:
-    """log det via Cholesky pivots; the 0x0 matrix has det 1."""
-    F = _chol_pivots(as_matrix(M), tol)
-    piv = np.diagonal(F)
-    if np.any(piv == 0.0):
-        raise SingularToTolerance("zero pivot: determinant is 0 to tolerance")
-    return float(2.0 * np.sum(np.log(piv)))
+    """log det of a positive definite matrix; the 0x0 matrix has det 1.
+
+    Raises SingularToTolerance as _cholesky_pivots does.
+    """
+    A = as_matrix(M)
+    if A.shape[0] == 0:
+        return 0.0
+    return float(2.0 * np.sum(np.log(_cholesky_pivots(A, tol))))
 
 
 def inverse_spd(M, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
@@ -121,40 +106,12 @@ def inverse_spd(M, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
 def inverse_logdet_spd(C, tol: float = DEFAULT_PIVOT_TOL):
     """Inverses and log-determinants of a stack (..., D, D) of SPD matrices.
 
-    One LAPACK Cholesky per matrix.  Raises SingularToTolerance when any
-    matrix is not positive definite or has a pivot at or below
-    tol * max(1, its largest diagonal entry).
+    One LAPACK Cholesky per matrix; raises SingularToTolerance as
+    _cholesky_pivots does.
     """
     C = np.asarray(C, dtype=np.float64)
-    try:
-        F = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        raise SingularToTolerance("matrix is not positive definite") from None
-    piv = np.diagonal(F, axis1=-2, axis2=-1)
-    thresh = tol * np.maximum(np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1), 1.0)
-    if np.any(piv * piv <= thresh[..., None]):
-        raise SingularToTolerance("matrix is singular to tolerance")
+    piv = _cholesky_pivots(C, tol)
     return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
-
-
-def schur_complement(M, a, b, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
-    """M_b - M_ab.T @ inv(M_a) @ M_ab for disjoint index sets a, b."""
-    A = as_matrix(M)
-    ia = as_index_set(a, A.shape[0])
-    ib = as_index_set(b, A.shape[0])
-    if np.intersect1d(ia, ib).size:
-        raise ValueError("index sets must be disjoint")
-    Mb = A[np.ix_(ib, ib)].copy()
-    if ia.size == 0:
-        return Mb
-    Maa = A[np.ix_(ia, ia)]
-    Mab = A[np.ix_(ia, ib)]
-    F = _chol_pivots(Maa, tol)
-    if np.any(np.diagonal(F) == 0.0):
-        raise SingularToTolerance("conditioning block is singular to tolerance")
-    X = solve_triangular(F, Mab, lower=True)
-    S = Mb - X.T @ X
-    return 0.5 * (S + S.T)
 
 
 def min_eigenvalue(M) -> float:

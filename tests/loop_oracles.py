@@ -1,14 +1,24 @@
-"""Per-window loop implementations of the change-point metrics and profiles.
+"""Straightforward reference implementations that tests compare the
+library with.
 
-These are the straightforward versions the batched engine in
-``cpd_metrics`` replaced: one segment at a time, centred on its own mean,
-with a Python Cholesky per covariance.  Tests compare the engine with them.
+- Per-window loops of the change-point metrics and profiles, which the
+  batched engine in ``cpd_metrics`` replaced: one segment at a time,
+  centred on its own mean, with one Cholesky per covariance.
+- The DPP conditioning formulas behind block-wise MAP: Schur complements,
+  explicit conditional kernels and the conditional form of the block loop.
+- The pairwise interval sweep that ``kernel_model`` used to find invalid
+  cuts before it worked from each row's reach.
 """
+
+from typing import List
 
 import numpy as np
 
 from blockdpp import cpd_metrics as cm
+from blockdpp import kernel_model as km
+from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
+from blockdpp.errors import SingularToTolerance
 
 
 def segment_stats(seg, delta_reg):
@@ -119,3 +129,89 @@ def event_quality(E, times, cfg, floor):
         if left.size >= 2 and right.size >= 2:
             raw[i] = max(glr_poisson(left, right), floor)
     return _rescale(raw, cfg, floor), flags
+
+
+def schur_complement(M, a, b):
+    """M_b - M_ab.T @ inv(M_a) @ M_ab for disjoint index sets a, b."""
+    A = mc.as_matrix(M)
+    ia = mc.as_index_set(a, A.shape[0])
+    ib = mc.as_index_set(b, A.shape[0])
+    if np.intersect1d(ia, ib).size:
+        raise ValueError("index sets must be disjoint")
+    Mb = A[np.ix_(ib, ib)].copy()
+    if ia.size == 0:
+        return Mb
+    F = np.linalg.cholesky(A[np.ix_(ia, ia)])
+    X = np.linalg.solve(F, A[np.ix_(ia, ib)])
+    S = Mb - X.T @ X
+    return 0.5 * (S + S.T)
+
+
+def conditional_kernel(L, a_in, a_out):
+    """Kernel of the DPP conditioned on a_in included and a_out excluded.
+
+    Returned over the surviving indices (everything outside a_in and a_out,
+    in increasing order):  ([ (L_rest + I_keep)^-1 ]_keep)^-1 - I, where
+    rest drops a_out and keep additionally drops a_in.
+    """
+    A = mc.as_matrix(km.kernel_matrix(L))
+    n = A.shape[0]
+    ain = mc.as_index_set(a_in, n)
+    aout = mc.as_index_set(a_out, n)
+    if np.intersect1d(ain, aout).size:
+        raise ValueError("a_in and a_out must be disjoint")
+    rest = np.setdiff1d(np.arange(n), aout)
+    keep_local = np.flatnonzero(~np.isin(rest, ain))
+    Ar = A[np.ix_(rest, rest)]
+    shift = np.zeros_like(Ar)
+    shift[keep_local, keep_local] = 1.0
+    try:
+        inner = np.linalg.inv(Ar + shift)
+        K = np.linalg.inv(inner[np.ix_(keep_local, keep_local)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularToTolerance(str(exc)) from None
+    K = K - np.eye(keep_local.size)
+    return 0.5 * (K + K.T)
+
+
+def blockwise_map_conditional_form(L, P, f=mi.greedy_map):
+    """Block-wise MAP via explicit conditional kernels.
+
+    Block i's sub-problem is the kernel over the first i blocks conditioned
+    on the previous selections being in and everything else previously seen
+    being out.  Must return the same set as blockwise_map for any
+    deterministic f.
+    """
+    A = mc.as_matrix(km.kernel_matrix(L))
+    if P.n != A.shape[0]:
+        raise ValueError("partition does not match kernel dimension")
+    chosen: List[np.ndarray] = []
+    for start, stop in P.ranges():
+        prev = (np.concatenate(chosen) if chosen
+                else np.empty(0, dtype=np.int64))
+        a_out = np.setdiff1d(np.arange(start), prev)
+        K = conditional_kernel(A[:stop, :stop], prev, a_out)
+        local = np.sort(np.asarray(f(K), dtype=np.int64))
+        chosen.append(local + start)
+    return (np.concatenate(chosen) if chosen
+            else np.empty(0, dtype=np.int64))
+
+
+def invalid_cuts(L, gamma, eps_zero=km.DEFAULT_EPS_ZERO):
+    """Boolean mask over cut positions 0..n-1 (entry p marks the cut before
+    row p; entry 0 is unused) by an interval sweep over nonzero pairs.
+
+    A nonzero entry (r, c) with c - r > gamma forbids every cut in
+    [r+1, c-gamma] (the corner would be too wide) and in [r+gamma+1, c]
+    (too tall); with c - r <= gamma both intervals are empty.
+    """
+    n = L.shape[0]
+    rows, cols = np.nonzero(np.triu(np.abs(L) > eps_zero, 1))
+    keep = cols - rows > gamma
+    r, c = rows[keep], cols[keep]
+    diff = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(diff, r + 1, 1)
+    np.add.at(diff, c - gamma + 1, -1)
+    np.add.at(diff, r + gamma + 1, 1)
+    np.add.at(diff, c + 1, -1)
+    return np.cumsum(diff)[:n] > 0

@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_oracles as oracle
 from blockdpp import kernel_model as km
 from blockdpp import matrix_core as mc
 
@@ -132,6 +134,35 @@ class TestGammaPartition:
                             tuple(np.diff([0, *cuts, n]).tolist()), gamma))
                 )
                 assert best.m == best_m
+
+
+    def test_zero_rows_reach_only_themselves(self):
+        L = np.diag([0.0, 1.0, 0.0, 1.0])
+        L[1, 3] = L[3, 1] = 0.5
+        for gamma in (0, 1):
+            assert km.gamma_partition(L, gamma).block_sizes == (1, 3)
+
+    @settings(deadline=None, max_examples=200)
+    @given(N=st.integers(1, 40), low=st.integers(1, 6), extra=st.integers(0, 6),
+           overlaps=st.sets(st.integers(0, 5), min_size=1),
+           seed=st.integers(0, 2**31 - 1),
+           far=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                        max_size=4),
+           zero_rows=st.lists(st.integers(0, 39), max_size=4),
+           gamma=st.integers(0, 7))
+    def test_cut_rule_matches_pair_sweep(self, N, low, extra, overlaps, seed,
+                                         far, zero_rows, gamma):
+        kern, _ = km.generate_synthetic_kernel(km.SyntheticKernelSpec(
+            N=max(N, low), block_size_range=(low, low + extra),
+            overlap_choices=tuple(sorted(overlaps)), feature_dim=8, seed=seed))
+        L = kern.L
+        n = L.shape[0]
+        for i, j in far:
+            L[i % n, j % n] = L[j % n, i % n] = 1.0
+        for i in zero_rows:
+            L[i % n] = L[:, i % n] = 0.0
+        assert np.array_equal(km._invalid_cuts(L, gamma, km.DEFAULT_EPS_ZERO),
+                              oracle.invalid_cuts(L, gamma))
 
 
 class TestValidatePartition:

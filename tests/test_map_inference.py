@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loop_oracles as oracle
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
@@ -169,25 +170,25 @@ class TestGreedyMap:
 class TestConditionalKernel:
     def test_inclusion_equals_schur_complement(self):
         A = np.array([[2.0, 0.9], [0.9, 2.0]])
-        K = mi.conditional_kernel(A, a_in=[0], a_out=[])
+        K = oracle.conditional_kernel(A, a_in=[0], a_out=[])
         assert K[0, 0] == pytest.approx(2.0 - 0.81 / 2.0, abs=1e-10)
 
     def test_inclusion_matches_schur_on_random(self):
         for seed in range(10):
             A = random_spd(7, seed)
-            K = mi.conditional_kernel(A, a_in=[0, 3], a_out=[])
-            S = mc.schur_complement(A, [0, 3], [1, 2, 4, 5, 6])
+            K = oracle.conditional_kernel(A, a_in=[0, 3], a_out=[])
+            S = oracle.schur_complement(A, [0, 3], [1, 2, 4, 5, 6])
             assert np.allclose(K, S, atol=1e-8)
 
     def test_exclusion_is_submatrix(self):
         A = random_spd(6, 1)
-        K = mi.conditional_kernel(A, a_in=[], a_out=[1, 4])
+        K = oracle.conditional_kernel(A, a_in=[], a_out=[1, 4])
         keep = [0, 2, 3, 5]
         assert np.allclose(K, A[np.ix_(keep, keep)], atol=1e-8)
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
-            mi.conditional_kernel(np.eye(3), [0], [0])
+            oracle.conditional_kernel(np.eye(3), [0], [0])
 
 
 class TestBlockwiseMap:
@@ -201,7 +202,7 @@ class TestBlockwiseMap:
         # block's Schur step must still accept it as a conditioning set
         L = np.diag([5e-11, 2.0])
         part = km.BlockPartition((1, 1), 0)
-        ref = mi.blockwise_map_conditional_form(L, part)
+        ref = oracle.blockwise_map_conditional_form(L, part)
         assert np.array_equal(ref, [0, 1])
         for collect_trace in (True, False):
             sel, _ = mi.blockwise_map(L, part, collect_trace=collect_trace)
@@ -235,7 +236,7 @@ class TestBlockwiseMap:
         sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
                                   collect_trace)
         assert sel.tolist() == [0, 2, 3]
-        assert np.array_equal(sel, mi.blockwise_map_conditional_form(L, part))
+        assert np.array_equal(sel, oracle.blockwise_map_conditional_form(L, part))
         assert np.array_equal(seen[1], L[2:, 2:])
 
     @pytest.mark.parametrize("collect_trace", [True, False])
@@ -251,11 +252,11 @@ class TestBlockwiseMap:
         sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
                                   collect_trace)
         assert sel.tolist() == list(range(8))
-        assert np.array_equal(sel, mi.blockwise_map_conditional_form(L, part))
+        assert np.array_equal(sel, oracle.blockwise_map_conditional_form(L, part))
         K = seen[1]
         assert np.array_equal(K[1:], L[5:, 4:])
         assert np.array_equal(K[:, 1:], L[4:, 5:])
-        S = mc.schur_complement(L, [0, 1, 2, 3], [4, 5, 6, 7])
+        S = oracle.schur_complement(L, [0, 1, 2, 3], [4, 5, 6, 7])
         assert K[0, 0] == pytest.approx(S[0, 0], rel=1e-12)
         assert K[0, 0] < L[4, 4]
 
@@ -300,7 +301,7 @@ class TestBlockwiseMap:
         for seed in range(10):
             L, part = synthetic(N=30, seed=seed, blocks=(8, 12), d=40)
             s1, _ = mi.blockwise_map(L, part)
-            s2 = mi.blockwise_map_conditional_form(L, part)
+            s2 = oracle.blockwise_map_conditional_form(L, part)
             assert np.array_equal(np.sort(s1), np.sort(s2)), f"seed {seed}"
 
     def test_fused_path_matches_traced_path(self):
@@ -327,7 +328,7 @@ class TestBlockwiseMap:
         traced, _ = mi.blockwise_map(L, part)
         untraced, _ = mi.blockwise_map(L, part, collect_trace=False)
         assert np.array_equal(traced, untraced)
-        assert np.array_equal(traced, mi.blockwise_map_conditional_form(L, part))
+        assert np.array_equal(traced, oracle.blockwise_map_conditional_form(L, part))
 
     def test_strictly_block_diagonal_equals_full_greedy(self):
         for seed in range(10):
@@ -389,3 +390,24 @@ class TestLogProb:
         v = np.array([1.0, 2.0])
         L = np.outer(v, v)
         assert mi.log_prob_unnormalized(L, [0, 1]) == float("-inf")
+
+    @settings(deadline=None, max_examples=60)
+    @given(N=st.integers(20, 80), low=st.integers(3, 10),
+           extra=st.integers(0, 12),
+           overlaps=st.sets(st.integers(0, 6), min_size=1),
+           seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 1.0),
+           pick_seed=st.integers(0, 2**31 - 1))
+    def test_block_determinant_identity(self, N, low, extra, overlaps, seed,
+                                        frac, pick_seed):
+        # criterion 01: log det L_Y = sum over blocks of log det of the
+        # reduced selected kernel, for any per-block subsets Y, on the
+        # kernel's own partition (gamma = its largest overlap)
+        L, part = synthetic(N=N, seed=seed, overlaps=tuple(sorted(overlaps)),
+                            blocks=(low, low + extra), d=N + 20)
+        rng = np.random.default_rng(pick_seed)
+        pick = lambda K: np.flatnonzero(rng.random(K.shape[0]) < frac)
+        sel, trace = mi.blockwise_map(L, part, pick)
+        lhs = mi.log_prob_unnormalized(L, sel)
+        rhs = sum(mc.log_det(b.reduced_selected_kernel)
+                  for b in trace.blocks if b.selected.size)
+        assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))

