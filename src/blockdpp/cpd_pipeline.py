@@ -196,7 +196,7 @@ def _select_from_profile(prof, cfg, timings, quality_fn):
 
     t0 = time.perf_counter()
     solver = lambda K: mi.greedy_map(K, cfg.require_initial_gain)
-    sel_idx, _ = mi.blockwise_map(kern, part, solver)
+    sel_idx, _ = mi.blockwise_map(kern, part, solver, collect_trace=False)
     timings["inference"] = (time.perf_counter() - t0) * 1e3
 
     return DetectionReport(config=cfg, candidates=cand, qualities=q,

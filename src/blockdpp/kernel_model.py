@@ -17,6 +17,8 @@ import numpy as np
 from . import matrix_core as mc
 
 DEFAULT_EPS_ZERO = 1e-12
+# rows per panel of the reach scan; keeps its temporaries small
+REACH_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -132,22 +134,37 @@ def gaussian_position_similarity(times, sigma: float,
     return S
 
 
+def _reach(L: np.ndarray, eps_zero: float) -> np.ndarray:
+    """reach[r]: the last column c >= r with |L_rc| > eps_zero, or r itself.
+
+    Row panels L[i:i+REACH_TILE, i:] cover the upper triangle; the few
+    entries left of the diagonal they hold never exceed r.
+    """
+    n = L.shape[0]
+    reach = np.arange(n)
+    for i in range(0, n, REACH_TILE):
+        nz = np.abs(L[i:i + REACH_TILE, i:]) > eps_zero
+        last = nz.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+        # argmax of an all-False row is 0, so test the entry it points at:
+        # a row with no nonzero keeps reach r
+        last = np.where(nz[np.arange(nz.shape[0]), last], i + last, 0)
+        panel = reach[i:i + REACH_TILE]
+        np.maximum(panel, last, out=panel)
+    return reach
+
+
 def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
     """Boolean mask over cut positions 0..n-1 (entry p marks the cut before
     row p; entry 0 is unused).
 
     Cut p is valid at gamma iff every entry |L_rc| > eps_zero with r < p <= c
     lies in the gamma x gamma corner r >= p - gamma, c < p + gamma.  With
-    reach[r] the last column c >= r with |L_rc| > eps_zero (r itself when
-    there is none) and M its prefix max, p is invalid iff M[p-1] >= p + gamma
-    (a row above the cut reaches too far right) or M[p-gamma-1] >= p (a row
-    above the corner crosses the cut).
+    M the prefix max of _reach, p is invalid iff M[p-1] >= p + gamma (a row
+    above the cut reaches too far right) or M[p-gamma-1] >= p (a row above
+    the corner crosses the cut).
     """
     n = L.shape[0]
-    nz = np.abs(L) > eps_zero
-    last = n - 1 - np.argmax(nz[:, ::-1], axis=1)
-    last[~nz.any(axis=1)] = 0
-    M = np.maximum.accumulate(np.maximum(last, np.arange(n)))
+    M = np.maximum.accumulate(_reach(L, eps_zero))
     p = np.arange(n)
     invalid = M[p - 1] >= p + gamma
     k = max(n - gamma - 1, 0)          # cuts p >= gamma + 1

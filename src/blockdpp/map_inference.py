@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import SingularToTolerance
-from .kernel_model import BlockPartition, kernel_matrix
+from .kernel_model import BlockPartition, DppKernel, kernel_matrix
 
 # Diagonal entries at or below this are never selectable (determinant-zero
 # contributors).
@@ -31,6 +31,15 @@ EXHAUSTIVE_MAX_DIM = 20
 EXHAUSTIVE_CHUNK = 4096
 
 SubSolver = Callable[[np.ndarray], np.ndarray]
+
+
+def _checked_kernel(L) -> np.ndarray:
+    """The matrix of a DppKernel or array L, through mc.as_matrix.
+
+    L reaches as_matrix as given: the np.asarray in kernel_matrix would
+    drop the type of an mc.checked_view.
+    """
+    return mc.as_matrix(L.L if isinstance(L, DppKernel) else L)
 
 
 def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
@@ -47,7 +56,7 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     and d holds the conditional diagonal given the picks.  O(N k^2) time
     and O(k N) memory for k picks.
     """
-    A = mc.as_matrix(kernel_matrix(L))
+    A = _checked_kernel(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
     # follow the first pick
@@ -97,10 +106,15 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     is none, so exact zeros stay exact.  f gets that block, with the
     corrected part symmetrised; its negative eigenvalues are float noise
     (acceptance criterion 02 bounds them at -1e-8 times the largest
-    diagonal entry of L).  collect_trace=False only drops the per-block
-    records.
+    diagonal entry of L).
+
+    L is checked once.  f gets each block as a read-only mc.checked_view,
+    which greedy_map and exhaustive_map do not scan again.  A block is
+    copied only when the Schur step writes to it or the trace keeps it;
+    otherwise f sees L's own block.  collect_trace=False only drops the
+    per-block records.
     """
-    A = mc.as_matrix(kernel_matrix(L))
+    A = _checked_kernel(L)
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     trace = InferenceTrace()
@@ -110,7 +124,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     prev_reduced = None
     for start, stop in P.ranges():
         t0 = time.perf_counter()
-        reduced = A[start:stop, start:stop].copy()
+        block = reduced = A[start:stop, start:stop]
         if prev_sel.size:
             cross = A[prev_sel, start:stop]
             cols = np.flatnonzero(cross.any(axis=0))
@@ -128,9 +142,12 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                         f"selected reduced kernel of the block before [{start}, "
                         f"{stop}) is not positive definite") from None
                 X = np.linalg.solve(F, cross[:, :c])
-                S = reduced[:c, :c] - X.T @ X
+                S = block[:c, :c] - X.T @ X
+                reduced = block.copy()
                 reduced[:c, :c] = 0.5 * (S + S.T)
-        local = np.sort(np.asarray(f(reduced), dtype=np.int64))
+        if collect_trace and reduced is block:
+            reduced = block.copy()
+        local = np.sort(np.asarray(f(mc.checked_view(reduced)), dtype=np.int64))
         if local.size and (local[0] < 0 or local[-1] >= stop - start):
             raise IndexError("sub-solver returned out-of-range indices")
         global_sel = local + start
@@ -154,7 +171,7 @@ def exhaustive_map(L) -> np.ndarray:
     Ties break to the smaller cardinality, then the lexicographically
     smallest index list.  Refuses dimensions above EXHAUSTIVE_MAX_DIM.
     """
-    A = mc.as_matrix(kernel_matrix(L))
+    A = _checked_kernel(L)
     n = A.shape[0]
     if n > EXHAUSTIVE_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds exhaustive limit {EXHAUSTIVE_MAX_DIM}")

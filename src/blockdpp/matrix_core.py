@@ -21,31 +21,62 @@ from .errors import NonFinite, SingularToTolerance
 
 DEFAULT_PIVOT_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
-# rows per tile of as_matrix's symmetry scan; keeps its temporaries small
-SYMMETRY_TILE = 64
+# side of the square tiles of as_matrix's symmetry scan; a tile and its
+# transposed partner stay in cache, and the temporaries stay small
+SYMMETRY_TILE = 128
+
+
+class _CheckedBlock(np.ndarray):
+    # slices, copies and arithmetic results keep the type but not the mark
+    _trusted = False
+
+
+def checked_view(A: np.ndarray) -> np.ndarray:
+    """Read-only view of A that as_matrix returns without a scan.
+
+    A must be a finite, symmetric float64 matrix derived from one that
+    as_matrix accepted (blockwise_map's blocks).  Nothing else makes a
+    _CheckedBlock.
+    """
+    V = A.view(_CheckedBlock)
+    V.flags.writeable = False
+    V._trusted = True
+    return V
+
+
+def _asymmetry(A: np.ndarray) -> float:
+    """max |A_ij - A_ji| over square tile pairs A[I, J], A[J, I].T, i <= j.
+
+    Returns at the first tile pair whose difference is NaN or infinite,
+    which it is whenever the pair holds a non-finite entry.
+    """
+    n, T = A.shape[0], SYMMETRY_TILE
+    asym = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+        for i in range(0, n, T):
+            for j in range(i, n, T):
+                m = float(abs(A[i:i + T, j:j + T] - A[j:j + T, i:i + T].T).max())
+                if not math.isfinite(m):
+                    return m
+                asym = max(asym, m)
+    return asym
 
 
 def as_matrix(M) -> np.ndarray:
     """Coerce to a square float64 array, checking finiteness and symmetry.
 
-    One scan over row tiles of the upper triangle, with no N x N
-    temporary, finds max |A_ij - A_ji|, which is NaN or infinite when some
-    entry is.  The tolerance scales with max(1, max |A_ij|), taken only
-    when that asymmetry exceeds SYMMETRY_TOL.
+    One scan over square tile pairs, with no N x N temporary, finds
+    max |A_ij - A_ji|, which is NaN or infinite when some entry is.  The
+    tolerance scales with max(1, max |A_ij|), taken only when that
+    asymmetry exceeds SYMMETRY_TOL.  A view made by checked_view comes
+    back as a plain read-only array, unscanned.
     """
+    if type(M) is _CheckedBlock and M._trusted and not M.flags.writeable:
+        return M.view(np.ndarray)
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    asym = 0.0
-    with np.errstate(invalid="ignore"):     # inf - inf on the diagonal
-        for i in range(0, n, SYMMETRY_TILE):
-            j = min(i + SYMMETRY_TILE, n)
-            m = float(abs(A[i:j, i:] - A[i:, i:j].T).max())
-            if not m <= asym:          # larger, or NaN
-                asym = m
-                if not math.isfinite(m):
-                    break
+    asym = _asymmetry(A)
     if not math.isfinite(asym) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
     if asym > SYMMETRY_TOL:

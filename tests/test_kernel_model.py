@@ -142,13 +142,38 @@ class TestGammaPartition:
         for gamma in (0, 1):
             assert km.gamma_partition(L, gamma).block_sizes == (1, 3)
 
+    @pytest.mark.parametrize("r, c", [
+        (0, km.REACH_TILE),                     # first column of panel 2
+        (1, km.REACH_TILE - 1),                 # last column of panel 1
+        (km.REACH_TILE - 1, 2 * km.REACH_TILE - 1),
+        (km.REACH_TILE, 2 * km.REACH_TILE),     # first row of panel 2
+        (2 * km.REACH_TILE - 1, 2 * km.REACH_TILE + 9),   # to the last column
+    ])
+    def test_reach_at_panel_edges(self, r, c):
+        n = 2 * km.REACH_TILE + 10
+        L = np.eye(n)
+        L[r, c] = L[c, r] = 0.5
+        z = km.REACH_TILE + 5                   # an all-zero row in panel 2
+        L[z] = L[:, z] = 0.0
+        reach = np.arange(n)
+        reach[r] = c
+        assert np.array_equal(km._reach(L, km.DEFAULT_EPS_ZERO), reach)
+        for gamma in (0, 3):
+            assert np.array_equal(
+                km._invalid_cuts(L, gamma, km.DEFAULT_EPS_ZERO),
+                oracle.invalid_cuts(L, gamma))
+
+    # N up to past two reach panels, so that panel edges are drawn too
     @settings(deadline=None, max_examples=200)
-    @given(N=st.integers(1, 40), low=st.integers(1, 6), extra=st.integers(0, 6),
+    @given(N=st.integers(1, 2 * km.REACH_TILE + 40), low=st.integers(1, 6),
+           extra=st.integers(0, 6),
            overlaps=st.sets(st.integers(0, 5), min_size=1),
            seed=st.integers(0, 2**31 - 1),
-           far=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+           far=st.lists(st.tuples(st.integers(0, 2 * km.REACH_TILE + 39),
+                                  st.integers(0, 2 * km.REACH_TILE + 39)),
                         max_size=4),
-           zero_rows=st.lists(st.integers(0, 39), max_size=4),
+           zero_rows=st.lists(st.integers(0, 2 * km.REACH_TILE + 39),
+                              max_size=4),
            gamma=st.integers(0, 7))
     def test_cut_rule_matches_pair_sweep(self, N, low, extra, overlaps, seed,
                                          far, zero_rows, gamma):

@@ -269,6 +269,66 @@ class TestBlockwiseMap:
             mi.blockwise_map(L, km.BlockPartition((2, 1), 1), take_all,
                              collect_trace)
 
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_kernel_scanned_once_and_blocks_read_only(self, collect_trace,
+                                                     monkeypatch):
+        L, part = synthetic(seed=4)
+        ref, _ = mi.blockwise_map(L, part, collect_trace=not collect_trace)
+        scanned, writeable = [], []
+        scan = mc._asymmetry
+        monkeypatch.setattr(mc, "_asymmetry",
+                            lambda A: scanned.append(A.shape) or scan(A))
+
+        def solve(K):
+            writeable.append(K.flags.writeable)
+            return mi.greedy_map(K)
+
+        sel, _ = mi.blockwise_map(L, part, solve, collect_trace)
+        assert np.array_equal(sel, ref)
+        assert scanned == [L.shape]
+        assert len(writeable) == part.m and not any(writeable)
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_subsolver_cannot_write_to_its_block(self, collect_trace):
+        L, part = synthetic(seed=5)
+        before = L.copy()
+
+        def overwrite(K):
+            K[0, 0] = 0.0
+            return mi.greedy_map(K)
+
+        with pytest.raises(ValueError, match="read-only"):
+            mi.blockwise_map(L, part, overwrite, collect_trace)
+        assert np.array_equal(L, before)
+
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_writeable_copy_of_a_block_is_scanned(self, collect_trace):
+        L, part = synthetic(seed=6)
+
+        def skew(K):
+            B = K.copy()
+            B[0, 1] += 1.0
+            return mi.greedy_map(B)
+
+        with pytest.raises(ValueError, match="not symmetric"):
+            mi.blockwise_map(L, part, skew, collect_trace)
+
+    def test_trace_keeps_plain_writeable_copies(self):
+        L, part = synthetic(seed=7)
+        _, trace = mi.blockwise_map(L, part)
+        for b in trace.blocks:
+            K = b.reduced_kernel
+            assert type(K) is np.ndarray and K.flags.writeable
+            assert not np.shares_memory(K, L)
+
+    def test_untraced_block_without_schur_step_is_not_copied(self):
+        L, _ = synthetic(seed=8)
+        seen = []
+        mi.blockwise_map(L, km.BlockPartition((L.shape[0],), 0),
+                         lambda K: seen.append(K) or mi.greedy_map(K),
+                         collect_trace=False)
+        assert np.shares_memory(seen[0], L)
+
     def test_trivial_partition_reduces_to_subsolver(self):
         for seed in range(5):
             L = random_spd(9, seed)

@@ -44,6 +44,11 @@ class TestAsMatrix:
         (-1, -3), (-3, -1),                   # inside the last row tile
         (mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),   # pair straddles a tile
         (mc.SYMMETRY_TILE + 1, mc.SYMMETRY_TILE - 2),  # boundary, both ways
+        # on a row-tile and a column-tile edge at once, both triangles
+        (mc.SYMMETRY_TILE - 1, 2 * mc.SYMMETRY_TILE),
+        (2 * mc.SYMMETRY_TILE, mc.SYMMETRY_TILE - 1),
+        (mc.SYMMETRY_TILE, 2 * mc.SYMMETRY_TILE - 1),
+        (2 * mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),
     ])
     def test_symmetry_scan_covers_every_tile(self, i, j):
         n = 2 * mc.SYMMETRY_TILE + 5
@@ -58,6 +63,29 @@ class TestAsMatrix:
 
     def test_accepts_empty(self):
         assert mc.as_matrix(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestCheckedView:
+    def test_returned_plain_and_read_only_without_a_scan(self, monkeypatch):
+        A = random_spd(6, 0)
+        V = mc.checked_view(A)
+        monkeypatch.setattr(mc, "_asymmetry", None)   # any scan would fail
+        B = mc.as_matrix(V)
+        assert type(B) is np.ndarray and not B.flags.writeable
+        assert np.shares_memory(B, A) and np.array_equal(B, A)
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 1.0
+
+    def test_slices_and_copies_are_scanned(self):
+        V = mc.checked_view(random_spd(6, 1))
+        S = V[:3, 1:4]               # read-only like V, but not symmetric
+        assert not S.flags.writeable
+        with pytest.raises(ValueError, match="not symmetric"):
+            mc.as_matrix(S)
+        for B in (V.copy(), V + 0.0):
+            B[0, 1] += 1.0
+            with pytest.raises(ValueError, match="not symmetric"):
+                mc.as_matrix(B)
 
 
 class TestIndexSets:
