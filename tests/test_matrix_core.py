@@ -42,6 +42,7 @@ class TestAsMatrix:
 
     @pytest.mark.parametrize("i, j", [
         (-1, -3), (-3, -1),                   # inside the last row tile
+        (63, 64), (65, 62),                   # inside the first diagonal tile
         (mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),   # pair straddles a tile
         (mc.SYMMETRY_TILE + 1, mc.SYMMETRY_TILE - 2),  # boundary, both ways
         # on a row-tile and a column-tile edge at once, both triangles
