@@ -37,7 +37,7 @@ def _checked_kernel(L) -> np.ndarray:
     """The matrix of a DppKernel or array L, through mc.as_matrix.
 
     L reaches as_matrix as given: the np.asarray in kernel_matrix would
-    drop the type of an mc.checked_view.
+    drop the type of an mc._checked_view.
     """
     return mc.as_matrix(L.L if isinstance(L, DppKernel) else L)
 
@@ -108,11 +108,12 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     (acceptance criterion 02 bounds them at -1e-8 times the largest
     diagonal entry of L).
 
-    L is checked once.  f gets each block as a read-only mc.checked_view,
-    which greedy_map and exhaustive_map do not scan again.  A block is
-    copied only when the Schur step writes to it or the trace keeps it;
-    otherwise f sees L's own block.  collect_trace=False only drops the
-    per-block records.
+    L is checked once.  f gets each block as a read-only mc._checked_view,
+    which greedy_map and exhaustive_map do not scan again, so a block's
+    symmetry tolerance scales with max(1, max |L|), not with its own
+    entries.  A block is copied only when the Schur step writes to it or
+    the trace keeps it; otherwise f sees L's own block.
+    collect_trace=False only drops the per-block records.
     """
     A = _checked_kernel(L)
     if P.n != A.shape[0]:
@@ -147,7 +148,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 reduced[:c, :c] = 0.5 * (S + S.T)
         if collect_trace and reduced is block:
             reduced = block.copy()
-        local = np.sort(np.asarray(f(mc.checked_view(reduced)), dtype=np.int64))
+        local = np.sort(np.asarray(f(mc._checked_view(reduced)), dtype=np.int64))
         if local.size and (local[0] < 0 or local[-1] >= stop - start):
             raise IndexError("sub-solver returned out-of-range indices")
         global_sel = local + start

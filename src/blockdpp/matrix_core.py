@@ -31,7 +31,7 @@ class _CheckedBlock(np.ndarray):
     _trusted = False
 
 
-def checked_view(A: np.ndarray) -> np.ndarray:
+def _checked_view(A: np.ndarray) -> np.ndarray:
     """Read-only view of A that as_matrix returns without a scan.
 
     A must be a finite, symmetric float64 matrix derived from one that
@@ -68,7 +68,7 @@ def as_matrix(M) -> np.ndarray:
     One scan over square tile pairs, with no N x N temporary, finds
     max |A_ij - A_ji|, which is NaN or infinite when some entry is.  The
     tolerance scales with max(1, max |A_ij|), taken only when that
-    asymmetry exceeds SYMMETRY_TOL.  A view made by checked_view comes
+    asymmetry exceeds SYMMETRY_TOL.  A view made by _checked_view comes
     back as a plain read-only array, unscanned.
     """
     if type(M) is _CheckedBlock and M._trusted and not M.flags.writeable:

@@ -329,6 +329,24 @@ class TestBlockwiseMap:
                          collect_trace=False)
         assert np.shares_memory(seen[0], L)
 
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_blocks_share_the_symmetry_scale_of_L(self, collect_trace):
+        # L is checked once, so a small block's asymmetry is held to
+        # SYMMETRY_TOL * max(1, max |L|), not to its own entries' scale
+        small = random_spd(3, 0)
+        small[0, 1] += 1e-4
+        L = np.zeros((5, 5))
+        L[:2, :2] = np.diag([1e6, 2e6])
+        L[2:, 2:] = small
+        with pytest.raises(ValueError, match="not symmetric"):
+            mi.greedy_map(small)
+        sel, _ = mi.blockwise_map(L, km.BlockPartition((2, 3), 0),
+                                  collect_trace=collect_trace)
+        assert sel[:2].tolist() == [0, 1]
+        with pytest.raises(ValueError, match="not symmetric"):
+            mi.blockwise_map(L[2:, 2:], km.BlockPartition((3,), 0),
+                             collect_trace=collect_trace)
+
     def test_trivial_partition_reduces_to_subsolver(self):
         for seed in range(5):
             L = random_spd(9, seed)

@@ -69,7 +69,7 @@ class TestAsMatrix:
 class TestCheckedView:
     def test_returned_plain_and_read_only_without_a_scan(self, monkeypatch):
         A = random_spd(6, 0)
-        V = mc.checked_view(A)
+        V = mc._checked_view(A)
         monkeypatch.setattr(mc, "_asymmetry", None)   # any scan would fail
         B = mc.as_matrix(V)
         assert type(B) is np.ndarray and not B.flags.writeable
@@ -78,7 +78,7 @@ class TestCheckedView:
             V[0, 0] = 1.0
 
     def test_slices_and_copies_are_scanned(self):
-        V = mc.checked_view(random_spd(6, 1))
+        V = mc._checked_view(random_spd(6, 1))
         S = V[:3, 1:4]               # read-only like V, but not symmetric
         assert not S.flags.writeable
         with pytest.raises(ValueError, match="not symmetric"):

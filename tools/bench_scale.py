@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Scale sweep for block-wise MAP: the block-wise / full-greedy time ratio.
 
-    python3 tools/bench_scale.py --label change [--src src] [--repeats 5] \
-        [-o BENCH_scale.json]
+    python3 tools/bench_scale.py --label change [--src src] [-o BENCH_scale.json]
 
 Imports blockdpp from --src (default: the checkout's src/), so the same
 script measures any commit's tree.  For N = 500, 2000 and 5000 it draws one
 synthetic kernel (seed 5000), as generated ("default", greedy keeps nearly
 every item) and divided by its 90th-percentile diagonal ("scaled", greedy
 keeps about N/12, as in the benchmark's map_sparse workload).  On each it
-times, as medians of --repeats runs:
+times, as medians of REPEATS runs:
 
 - ``checked``: the calls a user makes on a raw array, validation included:
   ``greedy_map(L)`` against ``gamma_partition(L, g)`` plus
@@ -41,13 +40,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (500, 2000, 5000)
 GAMMAS = (0, 6)
+REPEATS = 5
 SEED = 5000
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def median_ms(fn, repeats: int):
+def median_ms(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         out = fn()
         times.append((time.perf_counter() - t0) * 1e3)
@@ -78,7 +78,7 @@ def environment(src: Path) -> dict:
     }
 
 
-def sweep(repeats: int) -> list:
+def sweep() -> list:
     import numpy as np
     from blockdpp import kernel_model as km
     from blockdpp import map_inference as mi
@@ -102,7 +102,7 @@ def sweep(repeats: int) -> list:
                 if mode == "inference":
                     mc.as_matrix = lambda M: np.asarray(M, dtype=np.float64)
                 try:
-                    full_ms, sel = median_ms(lambda: mi.greedy_map(L), repeats)
+                    full_ms, sel = median_ms(lambda: mi.greedy_map(L))
                     row["picks"] = int(sel.size)
                     row[f"full_{mode}_ms"] = full_ms
                     for g in GAMMAS:
@@ -112,7 +112,7 @@ def sweep(repeats: int) -> list:
                         else:
                             fn = lambda: mi.blockwise_map(L, parts[g],
                                                           collect_trace=False)
-                        bw_ms, _ = median_ms(fn, repeats)
+                        bw_ms, _ = median_ms(fn)
                         row[f"g{g}_{mode}_ms"] = bw_ms
                         row[f"g{g}_{mode}_ratio"] = bw_ms / full_ms
                 finally:
@@ -127,17 +127,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
     p.add_argument("--src", type=Path, default=ROOT / "src")
-    p.add_argument("--repeats", type=int, default=5)
     p.add_argument("-o", "--output", type=Path, default=ROOT / "BENCH_scale.json")
     a = p.parse_args(argv)
-    if a.repeats < 5:
-        p.error("--repeats must be at least 5")
     src = a.src.resolve()
     if not (src / "blockdpp").is_dir():
         p.error(f"no blockdpp package under {a.src}")
     sys.path.insert(0, str(src))
-    entry = {"label": a.label, "repeats": a.repeats,
-             "environment": environment(src), "rows": sweep(a.repeats)}
+    entry = {"label": a.label, "repeats": REPEATS,
+             "environment": environment(src), "rows": sweep()}
     doc = json.loads(a.output.read_text()) if a.output.exists() else {"entries": []}
     doc["entries"] = [e for e in doc["entries"] if e["label"] != a.label] + [entry]
     a.output.write_text(json.dumps(doc, indent=1) + "\n")
