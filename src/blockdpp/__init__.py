@@ -34,6 +34,7 @@ from .cpd_pipeline import (
     candidate_quality,
     detect_change_points,
     detect_change_points_events,
+    detector,
     generate_piecewise_gaussian,
     generate_poisson_events,
     pick_candidates,

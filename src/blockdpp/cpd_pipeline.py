@@ -174,6 +174,12 @@ def detect_change_points_events(E, cfg: DetectionConfig) -> DetectionReport:
                                 lambda cand: _event_quality(e, cand.times, cfg))
 
 
+def detector(metric: str):
+    """The pipeline for a metric: glr_poisson reads events, the rest a series."""
+    return (detect_change_points_events if metric == "glr_poisson"
+            else detect_change_points)
+
+
 def _select_from_profile(prof, cfg, timings, quality_fn):
     t0 = time.perf_counter()
     cand = pick_candidates(prof)

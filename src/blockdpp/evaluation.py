@@ -13,6 +13,10 @@ from . import cpd_pipeline as cpd
 from . import kernel_model as km
 from . import map_inference as mi
 
+# benchmark_map's defaults, which the CLI's bench flags share
+BENCH_GAMMAS = (0, 2, 4, 6)
+BENCH_REPEATS = 3
+
 
 @dataclass
 class MatchResult:
@@ -87,17 +91,16 @@ def precision_recall_f1(m: MatchResult) -> EvalReport:
 
 
 def roc_sweep(X, truth, cfg: cpd.DetectionConfig, sigma_grid,
-              tolerance: float | None = None, events: bool = False):
-    """Run detection per sigma; returns (sigma, FPR=1-PRC, TPR=RCL) points."""
+              tolerance: float | None = None):
+    """cpd.detector(cfg.metric) per sigma; (sigma, FPR=1-PRC, TPR=RCL) points."""
     grid = sorted(float(s) for s in sigma_grid)
     if not grid or grid[0] <= 0:
         raise ValueError("sigma grid must be nonempty and positive")
     tol = cfg.window if tolerance is None else tolerance
+    detect = cpd.detector(cfg.metric)
     points = []
     for s in grid:
-        c = replace(cfg, sigma=s)
-        rep = (cpd.detect_change_points_events(X, c) if events
-               else cpd.detect_change_points(X, c))
+        rep = detect(X, replace(cfg, sigma=s))
         score = precision_recall_f1(match_changes(rep.selected, truth, tol))
         points.append((s, 1.0 - score.precision, score.recall))
     return points
@@ -128,7 +131,7 @@ class MapBenchReport:
         }
 
 
-def _timed_median(fn, repeats: int = 3):
+def _timed_median(fn, repeats: int):
     times = []
     out = None
     for _ in range(repeats):
@@ -139,8 +142,8 @@ def _timed_median(fn, repeats: int = 3):
 
 
 def benchmark_map(spec: km.SyntheticKernelSpec, n_kernels: int,
-                  gamma_list: Sequence[int] = (0, 2, 4, 6),
-                  repeats: int = 3) -> MapBenchReport:
+                  gamma_list: Sequence[int] = BENCH_GAMMAS,
+                  repeats: int = BENCH_REPEATS) -> MapBenchReport:
     """Block-wise MAP vs full-kernel greedy over random kernels.
 
     Per kernel the baseline is greedy on the unpartitioned kernel

@@ -62,7 +62,7 @@ class BlockPartition:
 
 @dataclass
 class DppKernel:
-    """PSD kernel matrix, optionally carrying its quality factors."""
+    """PSD kernel matrix and optional quality factors; numpy reads it as L."""
 
     L: np.ndarray
     quality: Optional[np.ndarray] = None
@@ -71,12 +71,10 @@ class DppKernel:
     def n(self) -> int:
         return self.L.shape[0]
 
-
-def kernel_matrix(L) -> np.ndarray:
-    """Accept a DppKernel or a raw array; return the matrix."""
-    if isinstance(L, DppKernel):
-        return L.L
-    return np.asarray(L, dtype=np.float64)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy 1 calls __array__() or __array__(dtype); numpy 2 adds copy
+        A = self.L if dtype is None else self.L.astype(dtype, copy=False)
+        return A.copy() if copy else A
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
     Cut validity is independent across cuts, so taking every valid cut
     attains the maximum block count.
     """
-    A = kernel_matrix(L)
+    A = mc.as_square(L)
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     n = A.shape[0]
@@ -191,7 +189,7 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
 def validate_partition(L, P: BlockPartition,
                        eps_zero: float = DEFAULT_EPS_ZERO) -> bool:
     """True iff every cut of P is valid at P.gamma."""
-    A = kernel_matrix(L)
+    A = mc.as_square(L)
     if P.n != A.shape[0]:
         raise ValueError("partition size does not match kernel dimension")
     return not _invalid_cuts(A, P.gamma, eps_zero)[P.cuts()].any()

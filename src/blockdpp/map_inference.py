@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import SingularToTolerance
-from .kernel_model import BlockPartition, DppKernel, kernel_matrix
+from .kernel_model import BlockPartition
 
 # Diagonal entries at or below this are never selectable (determinant-zero
 # contributors).
@@ -31,15 +31,6 @@ EXHAUSTIVE_MAX_DIM = 20
 EXHAUSTIVE_CHUNK = 4096
 
 SubSolver = Callable[[np.ndarray], np.ndarray]
-
-
-def _checked_kernel(L) -> np.ndarray:
-    """The matrix of a DppKernel or array L, through mc.as_matrix.
-
-    L reaches as_matrix as given: the np.asarray in kernel_matrix would
-    drop the type of an mc._checked_view.
-    """
-    return mc.as_matrix(L.L if isinstance(L, DppKernel) else L)
 
 
 def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
@@ -56,7 +47,7 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     and d holds the conditional diagonal given the picks.  O(N k^2) time
     and O(k N) memory for k picks.
     """
-    A = _checked_kernel(L)
+    A = mc.as_matrix(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
     # follow the first pick
@@ -115,7 +106,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     the trace keeps it; otherwise f sees L's own block.
     collect_trace=False only drops the per-block records.
     """
-    A = _checked_kernel(L)
+    A = mc.as_matrix(L)
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     trace = InferenceTrace()
@@ -172,7 +163,7 @@ def exhaustive_map(L) -> np.ndarray:
     Ties break to the smaller cardinality, then the lexicographically
     smallest index list.  Refuses dimensions above EXHAUSTIVE_MAX_DIM.
     """
-    A = _checked_kernel(L)
+    A = mc.as_matrix(L)
     n = A.shape[0]
     if n > EXHAUSTIVE_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds exhaustive limit {EXHAUSTIVE_MAX_DIM}")
@@ -197,9 +188,7 @@ def log_prob_unnormalized(L, C) -> float:
     Only the k x k selection is validated and factored (LAPACK Cholesky,
     with no pivot tolerance); -inf means that factorisation failed.
     """
-    A = np.asarray(kernel_matrix(L), dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = mc.as_square(L)
     idx = mc.as_index_set(C, A.shape[0])
     if idx.size == 0:
         return 0.0

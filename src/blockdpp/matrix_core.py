@@ -1,10 +1,10 @@
-"""Dense symmetric-matrix primitives, numpy only: the finiteness and
-symmetry check, log-determinant and inversion, eigenvalue bounds.
+"""Dense symmetric-matrix primitives, numpy only: the two doors for a kernel
+(``as_matrix``, ``as_square``), log-determinant and inversion, eigenvalues.
 
-One LAPACK Cholesky with a pivot tolerance (``_cholesky_pivots``) sits
-behind ``log_det``, ``inverse_spd`` and the batched ``inverse_logdet_spd``:
-a matrix that is not positive definite, or has a squared pivot at or below
-tol * max(1, its largest diagonal entry), raises SingularToTolerance.
+One LAPACK Cholesky (``_cholesky_pivots``) sits behind ``log_det``,
+``inverse_spd`` and the batched ``inverse_logdet_spd``: a matrix that is not
+positive definite, or has a squared pivot at or below DEFAULT_PIVOT_TOL *
+max(1, its largest diagonal entry), raises SingularToTolerance.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -62,8 +62,16 @@ def _asymmetry(A: np.ndarray) -> float:
     return asym
 
 
+def as_square(M) -> np.ndarray:
+    """Coerce to a float64 array and check that it is square; no entry is read."""
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a square float64 array, checking finiteness and symmetry.
+    """Coerce as as_square does, then check finiteness and symmetry.
 
     One scan over square tile pairs, with no N x N temporary, finds
     max |A_ij - A_ji|, which is NaN or infinite when some entry is.  The
@@ -73,9 +81,7 @@ def as_matrix(M) -> np.ndarray:
     """
     if type(M) is _CheckedBlock and M._trusted and not M.flags.writeable:
         return M.view(np.ndarray)
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    A = as_square(M)
     asym = _asymmetry(A)
     if not math.isfinite(asym) and not np.isfinite(A).all():
         raise NonFinite("matrix contains non-finite entries")
@@ -97,24 +103,25 @@ def as_index_set(idx, n: int) -> np.ndarray:
     return a
 
 
-def _cholesky_pivots(C: np.ndarray, tol: float) -> np.ndarray:
+def _cholesky_pivots(C: np.ndarray) -> np.ndarray:
     """Diagonal of the LAPACK Cholesky factor of each matrix in a stack.
 
     Raises SingularToTolerance when a matrix is not positive definite or
-    has a squared pivot at or below tol * max(1, its largest diagonal entry).
+    has a squared pivot at or below DEFAULT_PIVOT_TOL * max(1, max diagonal).
     """
     try:
         F = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise SingularToTolerance("matrix is not positive definite") from None
     piv = np.diagonal(F, axis1=-2, axis2=-1)
-    thresh = tol * np.maximum(np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1), 1.0)
+    diag_max = np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1)
+    thresh = DEFAULT_PIVOT_TOL * np.maximum(diag_max, 1.0)
     if np.any(piv * piv <= thresh[..., None]):
         raise SingularToTolerance("matrix is singular to tolerance")
     return piv
 
 
-def log_det(M, tol: float = DEFAULT_PIVOT_TOL) -> float:
+def log_det(M) -> float:
     """log det of a positive definite matrix; the 0x0 matrix has det 1.
 
     Raises SingularToTolerance as _cholesky_pivots does.
@@ -122,26 +129,26 @@ def log_det(M, tol: float = DEFAULT_PIVOT_TOL) -> float:
     A = as_matrix(M)
     if A.shape[0] == 0:
         return 0.0
-    return float(2.0 * np.sum(np.log(_cholesky_pivots(A, tol))))
+    return float(2.0 * np.sum(np.log(_cholesky_pivots(A))))
 
 
-def inverse_spd(M, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+def inverse_spd(M) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky."""
     A = as_matrix(M)
     if A.shape[0] == 0:
         return A.copy()
-    inv, _ = inverse_logdet_spd(A, tol)
+    inv, _ = inverse_logdet_spd(A)
     return 0.5 * (inv + inv.T)
 
 
-def inverse_logdet_spd(C, tol: float = DEFAULT_PIVOT_TOL):
+def inverse_logdet_spd(C):
     """Inverses and log-determinants of a stack (..., D, D) of SPD matrices.
 
     One LAPACK Cholesky per matrix; raises SingularToTolerance as
     _cholesky_pivots does.
     """
     C = np.asarray(C, dtype=np.float64)
-    piv = _cholesky_pivots(C, tol)
+    piv = _cholesky_pivots(C)
     return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
 
 

@@ -154,7 +154,7 @@ def conditional_kernel(L, a_in, a_out):
     in increasing order):  ([ (L_rest + I_keep)^-1 ]_keep)^-1 - I, where
     rest drops a_out and keep additionally drops a_in.
     """
-    A = mc.as_matrix(km.kernel_matrix(L))
+    A = mc.as_matrix(L)
     n = A.shape[0]
     ain = mc.as_index_set(a_in, n)
     aout = mc.as_index_set(a_out, n)
@@ -182,7 +182,7 @@ def blockwise_map_conditional_form(L, P, f=mi.greedy_map):
     being out.  Must return the same set as blockwise_map for any
     deterministic f.
     """
-    A = mc.as_matrix(km.kernel_matrix(L))
+    A = mc.as_matrix(L)
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     chosen: List[np.ndarray] = []

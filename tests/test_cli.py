@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from blockdpp import cli
 from blockdpp import io as bio
-from blockdpp.cpd_pipeline import generate_piecewise_gaussian
+from blockdpp.cpd_pipeline import DetectionConfig, generate_piecewise_gaussian
 
 
 def run(*argv):
@@ -190,6 +191,39 @@ class TestEval:
         roc = np.loadtxt(tmp_path / "eval.roc.csv", delimiter=",", ndmin=2)
         assert roc.shape == (2, 3)
 
+    @pytest.fixture
+    def event_detection(self, tmp_path):
+        spec = tmp_path / "esegs.json"
+        spec.write_text(json.dumps([{"duration": 100, "rate": 1.0},
+                                    {"duration": 100, "rate": 5.0}]))
+        ev = tmp_path / "ev.csv"
+        assert run("gen", "--kind", "poisson", "--segments", str(spec),
+                   "--seed", "10", "-o", str(ev)) == 0
+        out = tmp_path / "edet.json"
+        assert run("detect", "--events", str(ev), "--metric", "glr-poisson",
+                   "-o", str(out)) == 0
+        return out, tmp_path / "ev.truth.json", ev
+
+    def test_roc_input_must_fit_the_report_metric(self, detection,
+                                                  event_detection, tmp_path):
+        rep, truth, ts = detection
+        erep, etruth, ev = event_detection
+        roc = ("--roc", "--sigma-grid", "100:200:2", "-o", str(tmp_path / "r.json"))
+        assert run("eval", "--report", str(erep), "--truth", str(etruth),
+                   "--events", str(ev), *roc) == 0
+        assert run("eval", "--report", str(erep), "--truth", str(etruth),
+                   "--series", str(ts), *roc) == 1
+        assert run("eval", "--report", str(rep), "--truth", str(truth),
+                   "--events", str(ev), *roc) == 1
+
+    def test_roc_without_input_is_a_runtime_error(self, detection, tmp_path,
+                                                 capsys):
+        rep, truth, _ = detection
+        assert run("eval", "--report", str(rep), "--truth", str(truth),
+                   "--roc", "--sigma-grid", "100:200:2",
+                   "-o", str(tmp_path / "r.json")) == 1
+        assert "requires --series input" in capsys.readouterr().err
+
     def test_missing_truth_file(self, detection, tmp_path):
         rep, _, _ = detection
         assert run("eval", "--report", str(rep),
@@ -226,3 +260,112 @@ class TestConfigFile:
         assert run("--config", str(cfgf), "gen", "--n", "24",
                    "-o", str(out2)) == 0
         assert bio.load_matrix_csv(out2).shape == (24, 24)
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Run the CLI; return the arguments its subcommand handler got."""
+        seen = {}
+        for name in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, name,
+                                lambda args: seen.update(args=args))
+
+        def parse(*argv):
+            assert run(*argv) == 0
+            return seen.pop("args")
+        return parse
+
+    def test_keys_of_other_subcommands_are_ignored(self, parsed, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"n": 30, "window": 7, "kernels": 3,
+                                    "mode": "blockwise"}))
+        args = parsed("--config", str(cfgf), "gen", "--kind", "kernel",
+                      "-o", "k.csv")
+        assert args.n == 30
+        assert not any(hasattr(args, k) for k in ("window", "kernels", "mode"))
+        args = parsed("--config", str(cfgf), "detect", "--series", "ts.csv",
+                      "-o", "d.json")
+        assert args.window == 7 and not hasattr(args, "n")
+
+    def test_explicit_flags_win(self, parsed, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"window": 7, "sigma": 50.0,
+                                    "metric": "glr-gaussian", "gammas": [1]}))
+        args = parsed("--config", str(cfgf), "detect", "--series", "ts.csv",
+                      "-w", "9", "--metric", "symkl", "-o", "d.json")
+        assert (args.window, args.sigma, args.metric) == (9, 50.0, "symkl")
+        args = parsed("--config", str(cfgf), "bench", "--gammas", "0,2",
+                      "-o", "b.json")
+        assert args.gammas == [0, 2]
+
+
+    @pytest.mark.parametrize("command", sorted(cli._REQUIRED))
+    def test_every_subcommand_takes_a_config(self, parsed, command, tmp_path):
+        # the config's flags are listed by parsing no arguments, which
+        # fails if a subcommand has an argparse-required flag
+        required = {dest: "x" for dest in cli._REQUIRED[command]}
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({**required, "kind": "kernel",
+                                    "series": "ts.csv", "report": "r.json"}))
+        args = parsed("--config", str(cfgf), command)
+        assert all(getattr(args, dest) is not None for dest in required)
+
+    @pytest.mark.parametrize("content", [None, "{", "[1]"])
+    def test_bad_config_file_is_a_runtime_error(self, content, tmp_path,
+                                                capsys):
+        cfgf = tmp_path / "cfg.json"
+        if content is not None:
+            cfgf.write_text(content)
+        assert run("--config", str(cfgf), "gen", "--kind", "kernel",
+                   "-o", str(tmp_path / "k.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestDetectFlags:
+    def test_every_detection_config_field_is_a_detect_flag(self):
+        parser, commands = cli.build_parser()
+        flags = vars(commands.choices["detect"].parse_args([]))
+        assert {f.name for f in fields(DetectionConfig)} <= set(flags)
+
+
+class TestLibraryDefaults:
+    """A run on the defaults writes what the library defaults spelt out write."""
+
+    SPEC = ("--n", "500", "--block-min", "10", "--block-max", "30",
+            "--overlaps", "0,2,4,6", "--feature-dim", "50", "--seed", "0")
+
+    def assert_same_files(self, a, b):
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir()) and names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_gen(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        assert run("gen", "--kind", "kernel", "-o", str(a / "k.csv")) == 0
+        assert run("gen", "--kind", "kernel", *self.SPEC,
+                   "-o", str(b / "k.csv")) == 0
+        self.assert_same_files(a, b)
+
+    def test_bench(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        small = ("--kernels", "1", "--n", "60", "--no-timing")
+        assert run("bench", *small, "-o", str(a / "bench.json")) == 0
+        assert run("bench", *self.SPEC, *small, "--gammas", "0,2,4,6",
+                   "--repeats", "3", "-o", str(b / "bench.json")) == 0
+        self.assert_same_files(a, b)
+
+    def test_detect(self, series_files, tmp_path):
+        ts, _ = series_files
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        assert run("detect", "--series", str(ts), "--no-timing",
+                   "-o", str(a / "det.json")) == 0
+        assert run("detect", "--series", str(ts), "--no-timing",
+                   "-w", "50", "--sigma", "200", "--gamma", "0",
+                   "--metric", "symkl", "--delta-reg", "1e-6",
+                   "--eps-zero", "1e-12", "--quality-gain", "1.5",
+                   "--quality-exponent", "1", "--event-step", "1",
+                   "-o", str(b / "det.json")) == 0
+        self.assert_same_files(a, b)

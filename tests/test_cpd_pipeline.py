@@ -235,3 +235,10 @@ class TestDetectEvents:
         cfg = cp.DetectionConfig(metric="glr_poisson")
         rep = cp.detect_change_points_events(E, cfg)
         assert np.min(np.abs(rep.selected - truth[0])) <= cfg.window
+
+
+class TestDetector:
+    def test_poisson_metric_reads_events_and_the_rest_a_series(self):
+        assert cp.detector("glr_poisson") is cp.detect_change_points_events
+        for metric in set(cm.METRICS) - {"glr_poisson"}:
+            assert cp.detector(metric) is cp.detect_change_points

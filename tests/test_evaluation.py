@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,18 @@ class TestRocSweep:
         for s, fpr, tpr in pts:
             assert 0.0 <= fpr <= 1.0 and 0.0 <= tpr <= 1.0
         assert pts[0][0] == 100.0 and pts[1][0] == 200.0
+
+    def test_poisson_metric_runs_event_detection(self):
+        E, truth = cp.generate_poisson_events(
+            10, [(100.0, 1.0), (100.0, 5.0)])
+        cfg = cp.DetectionConfig(metric="glr_poisson")
+        ref = []
+        for s in (50.0, 100.0):
+            rep = cp.detect_change_points_events(E, replace(cfg, sigma=s))
+            score = ev.precision_recall_f1(
+                ev.match_changes(rep.selected, truth, cfg.window))
+            ref.append((s, 1.0 - score.precision, score.recall))
+        assert ev.roc_sweep(E, truth, cfg, [100.0, 50.0]) == ref
 
     def test_grid_validation(self):
         cfg = cp.DetectionConfig()

@@ -39,6 +39,26 @@ class TestBlockPartition:
         assert km.BlockPartition.from_json_dict(p.to_json_dict()) == p
 
 
+class TestDppKernel:
+    def test_array_protocol_shares_or_copies_L(self):
+        kern = km.DppKernel(L=block_diag_kernel())
+        assert np.shares_memory(np.asarray(kern), kern.L)
+        B = np.array(kern, copy=True)
+        assert np.array_equal(B, kern.L) and not np.shares_memory(B, kern.L)
+        assert np.asarray(kern, dtype=np.float32).dtype == np.float32
+
+    def test_array_protocol_takes_both_numpy_call_forms(self):
+        # numpy 1.x calls __array__() or __array__(dtype), with no copy
+        # keyword; numpy 2 passes copy as well
+        kern = km.DppKernel(L=block_diag_kernel())
+        assert kern.__array__() is kern.L
+        assert kern.__array__(np.float64) is kern.L
+        assert kern.__array__(np.float32).dtype == np.float32
+        assert kern.__array__(None, False) is kern.L
+        B = kern.__array__(None, True)
+        assert np.array_equal(B, kern.L) and not np.shares_memory(B, kern.L)
+
+
 class TestGaussianSimilarity:
     def test_values_and_truncation(self):
         t = np.array([0.0, 1.0, 100.0])
@@ -99,6 +119,16 @@ class TestGammaPartition:
         # (1, 2, 2, 2) still has all nonzeros inside 2x2 corners.
         p = km.gamma_partition(L, 2)
         assert p.block_sizes == (1, 2, 2, 2)
+
+    @pytest.mark.parametrize("L", [np.ones((3, 5)), np.ones(3)])
+    def test_rejects_non_square(self, L):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            km.gamma_partition(L, 0)
+
+    def test_kernel_and_its_matrix_partition_alike(self):
+        kern, _ = km.generate_synthetic_kernel(km.SyntheticKernelSpec(N=60, seed=3))
+        for gamma in (0, 2, 6):
+            assert km.gamma_partition(kern, gamma) == km.gamma_partition(kern.L, gamma)
 
     def test_dense_kernel_trivial_partition(self):
         rng = np.random.default_rng(1)
@@ -206,6 +236,16 @@ class TestValidatePartition:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             km.validate_partition(np.eye(4), km.BlockPartition((2, 3), 0))
+
+    @pytest.mark.parametrize("L", [np.ones((3, 5)), np.ones(3)])
+    def test_rejects_non_square(self, L):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            km.validate_partition(L, km.BlockPartition((1, 2), 0))
+
+    def test_kernel_and_its_matrix_validate_alike(self):
+        kern, part = km.generate_synthetic_kernel(km.SyntheticKernelSpec(N=60, seed=3))
+        for P in (part, km.BlockPartition((30, 30), 0)):
+            assert km.validate_partition(kern, P) == km.validate_partition(kern.L, P)
 
 
 class TestSyntheticKernel:

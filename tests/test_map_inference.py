@@ -447,9 +447,31 @@ class TestExhaustiveMap:
             assert pg <= po + 1e-9
 
 
+class TestDppKernelEntry:
+    """Each entry point gives the same result for a DppKernel and its L."""
+
+    @pytest.mark.parametrize("run", [
+        mi.greedy_map,
+        lambda L: mi.blockwise_map(L, km.gamma_partition(L, 2))[0],
+        lambda L: mi.blockwise_map(L, km.BlockPartition((7, 7), 0),
+                                   collect_trace=False)[0],
+        mi.exhaustive_map,
+        lambda L: mi.log_prob_unnormalized(L, [1, 4, 9]),
+    ], ids=["greedy", "blockwise", "blockwise_untraced", "exhaustive",
+            "log_prob"])
+    def test_kernel_and_its_matrix_agree(self, run):
+        kern = km.DppKernel(L=random_spd(14, 3, scale=3.0))
+        assert np.array_equal(run(kern), run(kern.L))
+
+
 class TestLogProb:
     def test_empty_selection(self):
         assert mi.log_prob_unnormalized(np.eye(3), []) == 0.0
+
+    @pytest.mark.parametrize("L", [np.ones((3, 5)), np.ones(3)])
+    def test_rejects_non_square(self, L):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            mi.log_prob_unnormalized(L, [0])
 
     def test_matches_slogdet(self):
         L = random_spd(6, 0)

@@ -66,6 +66,20 @@ class TestAsMatrix:
         assert mc.as_matrix(np.zeros((0, 0))).shape == (0, 0)
 
 
+class TestAsSquare:
+    def test_coerces_without_reading_entries(self, monkeypatch):
+        monkeypatch.setattr(mc, "_asymmetry", None)   # any scan would fail
+        A = mc.as_square([[1, np.nan], [3, 4]])
+        assert A.dtype == np.float64 and A.shape == (2, 2)
+        B = np.eye(3)
+        assert mc.as_square(B) is B
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            mc.as_square(np.ones(shape))
+
+
 class TestCheckedView:
     def test_returned_plain_and_read_only_without_a_scan(self, monkeypatch):
         A = random_spd(6, 0)
