@@ -165,14 +165,12 @@ def _cmd_gen(args) -> None:
 def _cmd_map(args) -> None:
     L = bio.load_matrix_csv(args.kernel)
     solver = lambda K: mi.greedy_map(K, args.require_initial_gain)
-    out = {}
+    out = {"per_block": []}
     if args.mode == "full":
         sel = solver(L)
-        out["per_block"] = []
     else:
         part = km.gamma_partition(L, args.gamma)
         sel, trace = mi.blockwise_map(L, part, solver)
-        sel = np.sort(sel)
         out["per_block"] = [
             {"range": list(b.span), "selected": [int(i) for i in b.selected],
              **({} if args.no_timing else {"ms": b.ms})}
@@ -183,7 +181,7 @@ def _cmd_map(args) -> None:
     if args.oracle:
         oracle = mi.exhaustive_map(L)
         out["oracle"] = [int(i) for i in oracle]
-        out["oracle_match"] = bool(np.array_equal(np.sort(sel), oracle))
+        out["oracle_match"] = bool(np.array_equal(sel, oracle))
     bio.save_json(args.output, out)
 
 

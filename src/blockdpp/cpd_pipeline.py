@@ -96,47 +96,41 @@ def _rescale(raw: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
     return np.maximum(q, EPS_QUALITY)
 
 
-def _flanks(lo, mid, hi, n: int):
-    """Widen a side of [lo, mid) | [mid, hi) holding fewer than 2 items to
-    the 2 items next to mid; also return the indices of the widened splits."""
+def _split_quality(lo, mid, hi, n: int, metric, cfg: DetectionConfig):
+    """Rescaled metric(lo, mid, hi) over the splits [lo, mid) | [mid, hi) of n
+    items, and the indices of the splits with a side of fewer than 2 items.
+    That side is widened to the 2 items next to mid; a split still short, or
+    whose metric is below EPS_QUALITY, scores EPS_QUALITY."""
+    if mid.size == 0:
+        return np.empty(0), []
     short_left, short_right = mid - lo < 2, hi - mid < 2
     lo = np.where(short_left, np.maximum(mid - 2, 0), lo)
     hi = np.where(short_right, np.minimum(mid + 2, n), hi)
-    return lo, hi, np.flatnonzero(short_left | short_right).tolist()
+    ok = (mid - lo >= 2) & (hi - mid >= 2)
+    raw = np.full(mid.size, EPS_QUALITY)
+    raw[ok] = np.maximum(metric(lo[ok], mid[ok], hi[ok]), EPS_QUALITY)
+    return _rescale(raw, cfg), np.flatnonzero(short_left | short_right).tolist()
 
 
 def candidate_quality(X, cand: CandidateSet, cfg: DetectionConfig):
-    """Per-candidate quality from the metric on the flanking segments.
-
-    Segment boundaries are the neighbouring candidates, with the series ends
-    as sentinels; a side with fewer than 2 samples falls back to the minimal
-    window and the candidate is flagged.  Raw values are rescaled by the
-    configured transform q -> (gain * q / mean(q)) ** exponent and floored
-    at a tiny positive value so the kernel stays well-defined.
-    """
+    """Per-candidate quality and flags from the metric on the segments
+    between neighbouring candidates, the series ends as sentinels, through
+    _split_quality and q -> (gain * q / mean(q)) ** exponent."""
     A = metrics.as_series(X)
     ts = cand.times.astype(np.int64)
-    if ts.size == 0:
-        return np.empty(0), []
     bounds = np.concatenate([[0], ts, [A.shape[0]]])
-    lo, hi, flags = _flanks(bounds[:-2], ts, bounds[2:], A.shape[0])
-    raw = metrics.split_dissimilarity(A, lo, ts, hi, cfg.metric, cfg.delta_reg)
-    return _rescale(np.maximum(raw, EPS_QUALITY), cfg), flags
+    metric = lambda lo, mid, hi: metrics.split_dissimilarity(
+        A, lo, mid, hi, cfg.metric, cfg.delta_reg)
+    return _split_quality(bounds[:-2], ts, bounds[2:], A.shape[0], metric, cfg)
 
 
 def _event_quality(E: np.ndarray, cand_times: np.ndarray,
                    cfg: DetectionConfig):
-    if cand_times.size == 0:
-        return np.empty(0), []
     bounds = np.concatenate([[E[0]], cand_times, [E[-1] + cfg.event_step]])
     lo, mid, hi = (np.searchsorted(E, b)
                    for b in (bounds[:-2], bounds[1:-1], bounds[2:]))
-    lo, hi, flags = _flanks(lo, mid, hi, E.size)
-    ok = (mid - lo >= 2) & (hi - mid >= 2)
-    raw = np.full(cand_times.size, EPS_QUALITY)
-    raw[ok] = np.maximum(metrics.poisson_split_glr(E, lo[ok], mid[ok], hi[ok]),
-                         EPS_QUALITY)
-    return _rescale(raw, cfg), flags
+    glr = lambda lo, mid, hi: metrics.poisson_split_glr(E, lo, mid, hi)
+    return _split_quality(lo, mid, hi, E.size, glr, cfg)
 
 
 def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
@@ -155,23 +149,17 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
 def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> DetectionReport:
     """Full pipeline on a (T, D) series: profile, candidates, kernel, selection."""
     A = metrics.as_series(X)
-    timings = {}
-    t0 = time.perf_counter()
-    prof = metrics.dissimilarity_profile(A, cfg.window, cfg.metric, cfg.delta_reg)
-    timings["profile"] = (time.perf_counter() - t0) * 1e3
-    return _select_from_profile(prof, cfg, timings,
-                                lambda cand: candidate_quality(A, cand, cfg))
+    return _detect(cfg, lambda: metrics.dissimilarity_profile(
+                       A, cfg.window, cfg.metric, cfg.delta_reg),
+                   lambda cand: candidate_quality(A, cand, cfg))
 
 
 def detect_change_points_events(E, cfg: DetectionConfig) -> DetectionReport:
     """Pipeline variant for event sequences with the Poisson GLR metric."""
     e = metrics.as_events(E)
-    timings = {}
-    t0 = time.perf_counter()
-    prof = metrics.poisson_profile(e, cfg.window, cfg.event_step)
-    timings["profile"] = (time.perf_counter() - t0) * 1e3
-    return _select_from_profile(prof, cfg, timings,
-                                lambda cand: _event_quality(e, cand.times, cfg))
+    return _detect(cfg, lambda: metrics.poisson_profile(e, cfg.window,
+                                                        cfg.event_step),
+                   lambda cand: _event_quality(e, cand.times, cfg))
 
 
 def detector(metric: str):
@@ -180,34 +168,33 @@ def detector(metric: str):
             else detect_change_points)
 
 
-def _select_from_profile(prof, cfg, timings, quality_fn):
-    t0 = time.perf_counter()
-    cand = pick_candidates(prof)
-    timings["candidates"] = (time.perf_counter() - t0) * 1e3
+def _detect(cfg: DetectionConfig, profile, quality) -> DetectionReport:
+    """BwDppCpd's stages, each timed into timings_ms: profile() gives the
+    profile and quality(candidates) their qualities and flags.  Each stage
+    reads its function from its module at call time, so a wrapper set on
+    the module (as perfbench/tracing.py sets them) sees the call."""
+    timings = {}
 
-    if cand.times.size == 0:
-        return DetectionReport(config=cfg, candidates=cand,
-                               qualities=np.empty(0),
-                               selected=np.empty(0),
-                               degenerate_candidates=[], timings_ms=timings)
+    def stage(name, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        timings[name] = (time.perf_counter() - t0) * 1e3
+        return out
 
-    t0 = time.perf_counter()
-    q, flags = quality_fn(cand)
-    timings["quality"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    kern, part = build_cpd_kernel(cand.times, q, cfg.sigma, cfg.gamma,
-                                  cfg.eps_zero)
-    timings["kernel"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    solver = lambda K: mi.greedy_map(K, cfg.require_initial_gain)
-    sel_idx, _ = mi.blockwise_map(kern, part, solver, collect_trace=False)
-    timings["inference"] = (time.perf_counter() - t0) * 1e3
-
+    prof = stage("profile", profile)
+    cand = stage("candidates", pick_candidates, prof)
+    q, flags, selected = np.empty(0), [], np.empty(0)
+    if cand.times.size:
+        q, flags = stage("quality", quality, cand)
+        kern, part = stage("kernel", build_cpd_kernel, cand.times, q,
+                           cfg.sigma, cfg.gamma, cfg.eps_zero)
+        solver = lambda K: mi.greedy_map(K, cfg.require_initial_gain)
+        sel_idx, _ = stage("inference", mi.blockwise_map, kern, part, solver,
+                           collect_trace=False)
+        selected = cand.times[sel_idx]
     return DetectionReport(config=cfg, candidates=cand, qualities=q,
-                           selected=cand.times[np.sort(sel_idx)],
-                           degenerate_candidates=flags, timings_ms=timings)
+                           selected=selected, degenerate_candidates=flags,
+                           timings_ms=timings)
 
 
 def generate_piecewise_gaussian(seed: int, segments):

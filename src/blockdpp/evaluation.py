@@ -162,13 +162,9 @@ def benchmark_map(spec: km.SyntheticKernelSpec, n_kernels: int,
         p_ref = mi.log_prob_unnormalized(kern.L, base_sel)
         for g in gamma_list:
             part = km.gamma_partition(kern.L, g)
-
-            def run():
-                sel, _ = mi.blockwise_map(kern.L, part, collect_trace=False)
-                return sel
-
-            sel, t = _timed_median(run, repeats)
-            p = mi.log_prob_unnormalized(kern.L, np.sort(sel))
+            sel, t = _timed_median(lambda: mi.blockwise_map(
+                kern.L, part, collect_trace=False)[0], repeats)
+            p = mi.log_prob_unnormalized(kern.L, sel)
             logr[g].append(p - p_ref)
             timer[g].append(t / t_ref if t_ref > 0 else np.nan)
             blocks[g].append(part.m)

@@ -10,14 +10,24 @@ import numpy as np
 from . import matrix_core as mc
 from .kernel_model import BlockPartition
 
+# load_matrix_csv's PSD test, relative to max(1, max_i L_ii)
+PSD_SHIFT = 1e-8
+
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Square symmetric matrix; one CSV row per matrix row, no header."""
+    """Square symmetric PSD matrix, one CSV row per matrix row, no header.
+    L + PSD_SHIFT * max(1, max_i L_ii) * I must have a Cholesky factor, so
+    float noise around a zero eigenvalue passes."""
     A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     try:
-        return mc.as_matrix(A)
+        A = mc.as_matrix(A)
+        t = PSD_SHIFT * max(1.0, float(A.diagonal().max(initial=0.0)))
+        np.linalg.cholesky(A + t * np.eye(A.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{path}: matrix is not positive semidefinite") from None
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    return A
 
 
 def save_matrix_csv(path, A) -> None:

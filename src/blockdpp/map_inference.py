@@ -50,16 +50,21 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     A = mc.as_matrix(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
-    # follow the first pick
-    C = np.empty((min(d.size, 1 + int(np.count_nonzero(d > 1.0))), d.size))
+    # follow the first pick; C starts at 32 rows and doubles up to that bound
+    max_picks = min(d.size, 1 + int(np.count_nonzero(d > 1.0)))
+    C = np.empty((min(max_picks, 32), d.size))
     picks: List[int] = []
     floor = 1.0 if require_initial_gain else UNSELECTABLE_DIAG
-    for k in range(C.shape[0]):
+    for k in range(max_picks):
         j = int(d.argmax())
         dj = d[j]
         if not dj > floor:
             break
         e = (A[j] - np.dot(C[:k, j], C[:k])) * (1.0 / math.sqrt(dj))
+        if k == C.shape[0]:
+            # in place (realloc), as no view of C outlives an iteration; a
+            # new buffer per doubling made glibc keep megabytes of freed heap
+            C.resize((min(2 * k, max_picks), d.size), refcheck=False)
         C[k] = e
         d -= e * e
         d[j] = -np.inf
@@ -104,7 +109,9 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     symmetry tolerance scales with max(1, max |L|), not with its own
     entries.  A block is copied only when the Schur step writes to it or
     the trace keeps it; otherwise f sees L's own block.
-    collect_trace=False only drops the per-block records.
+    collect_trace=False only drops the per-block records.  The picks are a
+    strictly increasing int64 array; a sub-solver index out of range raises
+    IndexError, a repeated one ValueError.
     """
     A = mc.as_matrix(L)
     if P.n != A.shape[0]:
@@ -139,9 +146,9 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 reduced[:c, :c] = 0.5 * (S + S.T)
         if collect_trace and reduced is block:
             reduced = block.copy()
-        local = np.sort(np.asarray(f(mc._checked_view(reduced)), dtype=np.int64))
-        if local.size and (local[0] < 0 or local[-1] >= stop - start):
-            raise IndexError("sub-solver returned out-of-range indices")
+        local = mc.as_index_set(
+            np.sort(np.asarray(f(mc._checked_view(reduced)), dtype=np.int64)),
+            stop - start)
         global_sel = local + start
         if collect_trace:
             trace.blocks.append(BlockTrace(

@@ -96,7 +96,7 @@ def as_index_set(idx, n: int) -> np.ndarray:
     """Validate a strictly increasing 0-based index set for an n x n matrix."""
     a = np.asarray(idx, dtype=np.int64).ravel()
     if a.size:
-        if np.any(np.diff(a) <= 0):
+        if (a[1:] <= a[:-1]).any():
             raise ValueError("index set must be strictly increasing")
         if a[0] < 0 or a[-1] >= n:
             raise IndexError(f"index out of range for dimension {n}")

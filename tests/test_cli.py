@@ -107,6 +107,20 @@ class TestMap:
         assert d["selected"] == [0, 1]
         assert d["log_det"] == pytest.approx(np.log(1e-10), rel=1e-9)
 
+    @pytest.mark.parametrize("mode", ["full", "blockwise"])
+    def test_non_psd_kernel_is_runtime_error(self, mode, tmp_path, capsys):
+        kf = tmp_path / "bad.csv"
+        kf.write_text("2,3\n3,2\n")
+        assert run("map", "--kernel", str(kf), "--mode", mode,
+                   "-o", str(tmp_path / "x.json")) == 1
+        assert "bad.csv" in capsys.readouterr().err
+
+    def test_default_generated_kernel_is_accepted(self, tmp_path):
+        kf = tmp_path / "k.csv"
+        assert run("gen", "--kind", "kernel", "-o", str(kf)) == 0
+        assert run("map", "--kernel", str(kf), "-o",
+                   str(tmp_path / "x.json")) == 0
+
     def test_oracle_too_large(self, kernel_file, tmp_path):
         assert run("map", "--kernel", str(kernel_file), "--oracle",
                    "-o", str(tmp_path / "x.json")) == 1

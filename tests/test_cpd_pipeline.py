@@ -237,6 +237,47 @@ class TestDetectEvents:
         assert np.min(np.abs(rep.selected - truth[0])) <= cfg.window
 
 
+class TestDriver:
+    @pytest.mark.parametrize("detect, data, cfg", [
+        (cp.detect_change_points, np.zeros(400), cp.DetectionConfig()),
+        # evenly spaced events: every window holds the same count, so the
+        # profile is flat and has no peak
+        (cp.detect_change_points_events, np.arange(500.0),
+         cp.DetectionConfig(metric="glr_poisson")),
+    ])
+    def test_no_candidates_gives_the_same_report_shape(self, detect, data, cfg):
+        rep = detect(data, cfg)
+        assert rep.candidates.times.size == 0
+        assert rep.qualities.size == 0 and rep.selected.size == 0
+        assert rep.degenerate_candidates == []
+        assert set(rep.timings_ms) == {"profile", "candidates"}
+
+    def test_each_stage_is_called_once_through_its_module(self, monkeypatch):
+        calls = {}
+
+        def counting(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for name in ("pick_candidates", "candidate_quality", "build_cpd_kernel"):
+            counting(cp, name)
+        counting(cp.mi, "blockwise_map")
+        counting(cm, "dissimilarity_profile")
+        X, _ = cp.generate_piecewise_gaussian(
+            3, [(150, 0.0, 1.0), (150, 3.0, 1.0)])
+        rep = cp.detect_change_points(X, cp.DetectionConfig())
+        assert rep.selected.size
+        assert calls == dict.fromkeys(
+            ("pick_candidates", "candidate_quality", "build_cpd_kernel",
+             "blockwise_map", "dissimilarity_profile"), 1)
+        assert list(rep.timings_ms) == ["profile", "candidates", "quality",
+                                        "kernel", "inference"]
+
+
 class TestDetector:
     def test_poisson_metric_reads_events_and_the_rest_a_series(self):
         assert cp.detector("glr_poisson") is cp.detect_change_points_events

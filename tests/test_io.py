@@ -30,6 +30,17 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="m.csv"):
             bio.load_matrix_csv(p)
 
+    def test_rejects_non_psd_naming_the_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("2,3\n3,2\n")   # eigenvalues 5 and -1
+        with pytest.raises(ValueError, match="m.csv.*positive semidefinite"):
+            bio.load_matrix_csv(p)
+
+    def test_accepts_singular_psd(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,1\n1,1\n")   # eigenvalues 2 and 0
+        assert np.array_equal(bio.load_matrix_csv(p), np.ones((2, 2)))
+
 
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):

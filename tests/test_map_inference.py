@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,23 @@ class TestGreedyMap:
     def test_never_picks_zero_diagonal(self):
         L = np.diag([2.0, 0.0, 3.0])
         assert np.array_equal(mi.greedy_map(L), [0, 2])
+
+    def test_factor_grows_with_picks(self):
+        # rank 40, n=1500: 1493 diagonal entries exceed 1, but greedy stops
+        # after 34 picks, so a factor sized by the diagonal would be ~44x
+        # larger than the rows it uses
+        B = np.random.default_rng(0).standard_normal((40, 1500))
+        L = B.T @ B / 20
+        assert np.count_nonzero(np.diagonal(L) > 1) == 1493
+        tracemalloc.start()
+        try:
+            sel = mi.greedy_map(L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sel.size == 34
+        used = sel.size * L.shape[0] * 8
+        assert peak < 4 * used, (peak, used)
 
 
 class TestConditionalKernel:
@@ -362,9 +381,15 @@ class TestBlockwiseMap:
         with pytest.raises(IndexError):
             mi.blockwise_map(np.eye(4), km.BlockPartition((2, 2), 0), bad)
 
+    def test_repeated_subsolver_indices(self):
+        bad = lambda K: np.array([1, 1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mi.blockwise_map(2 * np.eye(4), km.BlockPartition((2, 2), 0), bad)
+
     def test_trace_invariants(self):
         L, part = synthetic(seed=3)
         sel, trace = mi.blockwise_map(L, part)
+        assert sel.dtype == np.int64 and np.all(np.diff(sel) > 0)
         assert len(trace.blocks) == part.m
         for b in trace.blocks:
             start, stop = b.span
