@@ -237,7 +237,7 @@ class TestDetectEvents:
         assert np.min(np.abs(rep.selected - truth[0])) <= cfg.window
 
 
-class TestDriver:
+class TestStageLoop:
     @pytest.mark.parametrize("detect, data, cfg", [
         (cp.detect_change_points, np.zeros(400), cp.DetectionConfig()),
         # evenly spaced events: every window holds the same count, so the
