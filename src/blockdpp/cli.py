@@ -144,7 +144,7 @@ def _sibling(path: str, tag: str) -> Path:
 def _cmd_gen(args) -> None:
     if args.kind == "kernel":
         kern, part = km.generate_synthetic_kernel(_kernel_spec(args))
-        bio.save_matrix_csv(args.output, kern.L)
+        bio.save_csv(args.output, kern.L)
         bio.save_partition_json(_sibling(args.output, "partition.json"), part)
         return
     if not args.segments:
@@ -153,11 +153,11 @@ def _cmd_gen(args) -> None:
     if args.kind == "gaussian":
         segs = [(s["length"], s["mean"], s["cov"]) for s in spec]
         X, truth = cpd.generate_piecewise_gaussian(args.seed, segs)
-        bio.save_series_csv(args.output, X)
+        bio.save_csv(args.output, X)
     else:
         segs = [(s["duration"], s["rate"]) for s in spec]
         X, truth = cpd.generate_poisson_events(args.seed, segs)
-        bio.save_events_csv(args.output, X)
+        bio.save_csv(args.output, X)
     bio.save_json(_sibling(args.output, "truth.json"),
                   {"changes": [float(t) for t in truth]})
 
@@ -208,9 +208,8 @@ def _cmd_detect(args) -> None:
     bio.save_json(args.output, rep.to_json_dict(include_timings=not args.no_timing))
     if args.dump_profile:
         prof = rep.candidates.profile
-        np.savetxt(args.dump_profile,
-                   np.column_stack([prof.times, prof.values]),
-                   delimiter=",", fmt="%.17g")
+        bio.save_csv(args.dump_profile,
+                     np.column_stack([prof.times, prof.values]))
 
 
 def _cmd_eval(args) -> None:
@@ -225,9 +224,8 @@ def _cmd_eval(args) -> None:
             raise ValueError("--roc requires --sigma-grid a:b:n")
         _, X = _detection_input(args, cfg.metric)
         score.roc = ev.roc_sweep(X, truth, cfg, args.sigma_grid, tol)
-        np.savetxt(_sibling(args.output, "roc.csv"),
-                   np.asarray(score.roc, dtype=np.float64),
-                   delimiter=",", fmt="%.17g", header="sigma,fpr,tpr")
+        bio.save_csv(_sibling(args.output, "roc.csv"), score.roc,
+                     header="sigma,fpr,tpr")
     bio.save_json(args.output, score.to_json_dict())
 
 
@@ -243,9 +241,8 @@ def _cmd_bench(args) -> None:
             del g["mean_time_ratio"], g["time_ratio_halfwidth"]
     bio.save_json(args.output, d)
     rows = [[g[c] for c in cols] for g in d["per_gamma"]]
-    np.savetxt(_sibling(args.output, "per_gamma.csv"),
-               np.asarray(rows, dtype=np.float64), delimiter=",", fmt="%.17g",
-               header=",".join(cols).replace("halfwidth", "hw"))
+    bio.save_csv(_sibling(args.output, "per_gamma.csv"), rows,
+                 header=",".join(cols).replace("halfwidth", "hw"))
 
 
 _HANDLERS = {

@@ -34,6 +34,8 @@ def as_series(X) -> np.ndarray:
 
 def as_events(E) -> np.ndarray:
     e = np.asarray(E, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(e)):
+        raise ValueError("event times contain non-finite values")
     if e.size >= 2 and np.any(np.diff(e) <= 0):
         raise ValueError("event times must be strictly increasing")
     return e

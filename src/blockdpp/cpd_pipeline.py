@@ -37,8 +37,11 @@ class DetectionConfig:
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be at least 2")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # written so that NaN fails them
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not self.eps_zero >= 0:
+            raise ValueError("eps_zero must be non-negative")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.metric not in metrics.METRICS:

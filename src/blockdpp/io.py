@@ -30,10 +30,6 @@ def load_matrix_csv(path) -> np.ndarray:
     return A
 
 
-def save_matrix_csv(path, A) -> None:
-    np.savetxt(path, np.asarray(A, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
 def load_series_csv(path) -> np.ndarray:
     """(T, D) series; a single non-numeric first row is treated as a header."""
     path = Path(path)
@@ -48,17 +44,17 @@ def load_series_csv(path) -> np.ndarray:
     return A
 
 
-def save_series_csv(path, X) -> None:
-    np.savetxt(path, np.asarray(X, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
 def load_events_csv(path) -> np.ndarray:
     e = np.loadtxt(path, delimiter=",", ndmin=1, dtype=np.float64)
     return e.ravel()
 
 
-def save_events_csv(path, e) -> None:
-    np.savetxt(path, np.asarray(e, dtype=np.float64).ravel(), fmt="%.17g")
+def save_csv(path, rows, header: str = "") -> None:
+    """A matrix, series, event list or table: one value per line for 1-D
+    rows, comma-separated for 2-D, each value at full double precision.  A
+    non-empty header is written as a leading "# " comment line."""
+    np.savetxt(path, np.asarray(rows, dtype=np.float64), delimiter=",",
+               fmt="%.17g", header=header)
 
 
 def save_partition_json(path, P: BlockPartition) -> None:

@@ -121,10 +121,12 @@ def gaussian_position_similarity(times, sigma: float,
     positions cluster.
     """
     t = np.asarray(times, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times contain non-finite values")
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     D = t[:, None] - t[None, :]
     S = np.exp(-(D * D) / (sigma * sigma))
     S[S < eps_zero] = 0.0

@@ -78,11 +78,9 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
 class BlockTrace:
     """What happened in one block of a block-wise inference run."""
 
-    span: Tuple[int, int]                 # [start, stop) global index range
-    reduced_kernel: np.ndarray            # conditioned sub-kernel over the block
-    selected: np.ndarray                  # global indices chosen in this block
-    reduced_selected_kernel: np.ndarray   # reduced kernel restricted to the picks
-    ms: float
+    span: Tuple[int, int]   # [start, stop) global index range
+    selected: np.ndarray    # global indices chosen in this block
+    ms: float               # wall time of the block's Schur step and sub-solver
 
 
 @dataclass
@@ -107,10 +105,11 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     L is checked once.  f gets each block as a read-only mc._checked_view,
     which greedy_map and exhaustive_map do not scan again, so a block's
     symmetry tolerance scales with max(1, max |L|), not with its own
-    entries.  A block is copied only when the Schur step writes to it or
-    the trace keeps it; otherwise f sees L's own block.
-    collect_trace=False only drops the per-block records.  The picks are a
-    strictly increasing int64 array; a sub-solver index out of range raises
+    entries.  A block is copied only when the Schur step writes to it;
+    otherwise f sees L's own block.  The trace records each block's span,
+    its global picks and its time in ms, and keeps no matrix;
+    collect_trace=False drops those records.  The picks are a strictly
+    increasing int64 array; a sub-solver index out of range raises
     IndexError, a repeated one ValueError.
     """
     A = mc.as_matrix(L)
@@ -144,20 +143,13 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 S = block[:c, :c] - X.T @ X
                 reduced = block.copy()
                 reduced[:c, :c] = 0.5 * (S + S.T)
-        if collect_trace and reduced is block:
-            reduced = block.copy()
         local = mc.as_index_set(
             np.sort(np.asarray(f(mc._checked_view(reduced)), dtype=np.int64)),
             stop - start)
         global_sel = local + start
         if collect_trace:
             trace.blocks.append(BlockTrace(
-                span=(start, stop),
-                reduced_kernel=reduced,
-                selected=global_sel,
-                reduced_selected_kernel=reduced[local[:, None], local],
-                ms=(time.perf_counter() - t0) * 1e3,
-            ))
+                (start, stop), global_sel, (time.perf_counter() - t0) * 1e3))
         selected.append(global_sel)
         prev_sel, prev_local, prev_reduced = global_sel, local, reduced
     out = np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)

@@ -6,6 +6,8 @@ library with.
   centred on its own mean, with one Cholesky per covariance.
 - The DPP conditioning formulas behind block-wise MAP: Schur complements,
   explicit conditional kernels and the conditional form of the block loop.
+- A recording sub-solver, which keeps each block that block-wise MAP hands
+  to its sub-solver together with the local picks made on it.
 - The pairwise interval sweep that ``kernel_model`` used to find invalid
   cuts before it worked from each row's reach.
 """
@@ -195,6 +197,16 @@ def blockwise_map_conditional_form(L, P, f=mi.greedy_map):
         chosen.append(local + start)
     return (np.concatenate(chosen) if chosen
             else np.empty(0, dtype=np.int64))
+
+
+def recording(seen, f=mi.greedy_map):
+    """f as a sub-solver that appends (a copy of each block it gets, the
+    block's sorted local picks) to seen."""
+    def solve(K):
+        picks = f(K)
+        seen.append((K.copy(), np.sort(np.asarray(picks, dtype=np.int64))))
+        return picks
+    return solve
 
 
 def invalid_cuts(L, gamma, eps_zero=km.DEFAULT_EPS_ZERO):

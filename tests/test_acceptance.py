@@ -37,11 +37,12 @@ _crit1_cache = {}
 
 
 def criterion1_runs():
-    """200 seeded kernels x 10 random valid subsets, traced block-wise runs.
+    """200 seeded kernels x 10 random valid subsets, block-wise runs whose
+    sub-solver records each reduced kernel and its picks.
 
     Returns (relative factorization errors, reduced-kernel min-eigenvalue
     margins, wall time).  Cached so the Lemma-1 criterion can reuse the same
-    traces without re-running.
+    reduced kernels without re-running.
     """
     if _crit1_cache:
         return _crit1_cache["data"]
@@ -57,13 +58,14 @@ def criterion1_runs():
             subsets = [np.flatnonzero(rng.random(b - a) < 0.4).astype(np.int64)
                        for a, b in part.ranges()]
             it = iter(subsets)
-            sel, trace = mi.blockwise_map(L, part, lambda K: next(it))
+            seen = []
+            sel, _ = mi.blockwise_map(
+                L, part, oracle.recording(seen, lambda K: next(it)))
             lhs = mi.log_prob_unnormalized(L, np.sort(sel))
-            rhs = sum(mc.log_det(b.reduced_selected_kernel)
-                      for b in trace.blocks if b.selected.size)
+            rhs = sum(mc.log_det(K[np.ix_(local, local)])
+                      for K, local in seen if local.size)
             errors.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
-            margins.extend(mc.min_eigenvalue(b.reduced_kernel) / max_diag
-                           for b in trace.blocks)
+            margins.extend(mc.min_eigenvalue(K) / max_diag for K, _ in seen)
     elapsed = time.perf_counter() - t0
     _crit1_cache["data"] = (errors, margins, elapsed)
     return _crit1_cache["data"]
@@ -81,9 +83,9 @@ def test_criterion_02_reduced_kernels_stay_psd():
     for seed in range(100):
         kern, part = km.generate_synthetic_kernel(small_kernel_spec(1000 + seed))
         max_diag = float(np.max(np.diagonal(kern.L)))
-        _, trace = mi.blockwise_map(kern.L, part)
-        margins = margins + [mc.min_eigenvalue(b.reduced_kernel) / max_diag
-                             for b in trace.blocks]
+        seen = []
+        mi.blockwise_map(kern.L, part, oracle.recording(seen))
+        margins = margins + [mc.min_eigenvalue(K) / max_diag for K, _ in seen]
     report(2, "reduced sub-kernels PSD", min(margins) >= -1e-8)
 
 
@@ -92,15 +94,16 @@ def test_criterion_03_selected_inverse_identity():
     for seed in range(100):
         kern, part = km.generate_synthetic_kernel(small_kernel_spec(2000 + seed))
         L = kern.L
-        _, trace = mi.blockwise_map(L, part)
+        seen = []
+        _, trace = mi.blockwise_map(L, part, oracle.recording(seen))
         acc = []
-        for b in trace.blocks:
+        for b, (K, local) in zip(trace.blocks, seen):
             acc.extend(b.selected.tolist())
             k = b.selected.size
             if k == 0:
                 continue
             full_inv = np.linalg.inv(L[np.ix_(acc, acc)])
-            red_inv = np.linalg.inv(b.reduced_selected_kernel)
+            red_inv = np.linalg.inv(K[np.ix_(local, local)])
             worst = max(worst, float(np.abs(full_inv[-k:, -k:] - red_inv).max()))
     report(3, "selected-set inverse identity", worst <= 1e-8)
 

@@ -90,7 +90,7 @@ class TestMap:
     def test_oracle_on_tiny_kernel(self, tmp_path):
         L = np.diag([2.0, 0.5, 3.0])
         kf = tmp_path / "tiny.csv"
-        bio.save_matrix_csv(kf, L)
+        bio.save_csv(kf, L)
         out = tmp_path / "map.json"
         assert run("map", "--kernel", str(kf), "--mode", "full", "--oracle",
                    "-o", str(out)) == 0
@@ -99,7 +99,7 @@ class TestMap:
 
     def test_tiny_pick_has_finite_log_det(self, tmp_path):
         kf = tmp_path / "tiny.csv"
-        bio.save_matrix_csv(kf, np.diag([5e-11, 2.0]))
+        bio.save_csv(kf, np.diag([5e-11, 2.0]))
         out = tmp_path / "map.json"
         assert run("map", "--kernel", str(kf), "--mode", "blockwise",
                    "--gamma", "0", "-o", str(out)) == 0
@@ -168,9 +168,33 @@ class TestDetect:
 
     def test_window_not_above_dimension_is_runtime_error(self, tmp_path):
         ts = tmp_path / "wide.csv"
-        bio.save_series_csv(ts, np.random.default_rng(0).standard_normal((300, 80)))
+        bio.save_csv(ts, np.random.default_rng(0).standard_normal((300, 80)))
         assert run("detect", "--series", str(ts), "-w", "50",
                    "-o", str(tmp_path / "x.json")) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_event_is_runtime_error(self, tmp_path, capsys, bad):
+        times = [f"{t:g}" for t in np.arange(0.0, 200.0, 0.5)]
+        times[100] = bad
+        ev = tmp_path / "ev.csv"
+        ev.write_text("\n".join(times) + "\n")
+        assert run("detect", "--events", str(ev), "--metric", "glr-poisson",
+                   "-o", str(tmp_path / "x.json")) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [("--eps-zero", "eps_zero"),
+                                             ("--sigma", "sigma")])
+    def test_nan_config_float_is_runtime_error(self, tmp_path, capsys, flag,
+                                               field):
+        # five segments with four true changes; with --eps-zero nan every
+        # cut of the candidate kernel would count as valid
+        X, _ = generate_piecewise_gaussian(
+            0, [(200, m, 1.0) for m in (0, 3, 0, 3, 6)])
+        ts = tmp_path / "ts.csv"
+        ts.write_text("".join(f"{x:.17g}\n" for x in X[:, 0]))
+        assert run("detect", "--series", str(ts), flag, "nan",
+                   "-o", str(tmp_path / "x.json")) == 1
+        assert field in capsys.readouterr().err
 
 
 class TestEval:

@@ -29,6 +29,13 @@ class TestSeriesCoercion:
         with pytest.raises(ValueError):
             cm.as_events([1.0, 1.0])
 
+    @pytest.mark.parametrize("events", [[1.0, np.nan, 3.0], [1.0, 2.0, np.inf],
+                                        [-np.inf, 1.0, 2.0], [np.nan]])
+    def test_events_must_be_finite(self, events):
+        # NaN passes a diff(t) <= 0 test, so it needs its own
+        with pytest.raises(ValueError, match="non-finite"):
+            cm.as_events(events)
+
 
 class TestSegmentStats:
     def test_ml_denominator(self):

@@ -28,6 +28,18 @@ class TestDetectionConfig:
         with pytest.raises(ValueError):
             cp.DetectionConfig(metric="nope")
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps_zero", np.nan), ("eps_zero", -1e-9),
+        ("sigma", np.nan), ("sigma", np.inf)])
+    def test_rejects_nan_and_out_of_range_floats(self, field, value):
+        # with eps_zero NaN, |L| > eps_zero is false everywhere and every cut
+        # of the partition would count as valid
+        with pytest.raises(ValueError, match=field):
+            cp.DetectionConfig(**{field: value})
+
+    def test_zero_eps_zero_is_valid(self):
+        assert cp.DetectionConfig(eps_zero=0.0).eps_zero == 0.0
+
 
 class TestPickCandidates:
     def test_interior_peaks_above_mean(self):

@@ -9,7 +9,7 @@ class TestMatrixCsv:
     def test_roundtrip(self, tmp_path):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         p = tmp_path / "m.csv"
-        bio.save_matrix_csv(p, A)
+        bio.save_csv(p, A)
         assert np.array_equal(bio.load_matrix_csv(p), A)
 
     def test_rejects_non_square(self, tmp_path):
@@ -46,7 +46,7 @@ class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):
         X = np.arange(6, dtype=float).reshape(3, 2)
         p = tmp_path / "s.csv"
-        bio.save_series_csv(p, X)
+        bio.save_csv(p, X)
         assert np.array_equal(bio.load_series_csv(p), X)
 
     def test_header_detected(self, tmp_path):
@@ -59,8 +59,16 @@ class TestEventsCsv:
     def test_roundtrip(self, tmp_path):
         e = np.array([0.5, 1.25, 9.0])
         p = tmp_path / "e.csv"
-        bio.save_events_csv(p, e)
+        bio.save_csv(p, e)
         assert np.array_equal(bio.load_events_csv(p), e)
+        assert p.read_text() == "0.5\n1.25\n9\n"
+
+
+class TestSaveCsv:
+    def test_header_is_a_comment_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        bio.save_csv(p, [[0.1, 2.0]], header="a,b")
+        assert p.read_text() == "# a,b\n0.10000000000000001,2\n"
 
 
 class TestJson:

@@ -74,6 +74,16 @@ class TestGaussianSimilarity:
         with pytest.raises(ValueError):
             km.gaussian_position_similarity([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("times", [[1.0, np.nan, 3.0], [1.0, 2.0, np.inf]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="non-finite"):
+            km.gaussian_position_similarity(times, 1.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            km.gaussian_position_similarity([1.0, 2.0], sigma)
+
 
 class TestQualityDiversityKernel:
     def test_construction(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
+from blockdpp import cpd_pipeline as cp
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
@@ -109,14 +110,6 @@ def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed):
     K[np.arange(N, n), np.arange(N, n)] = isolated
     p = np.random.default_rng(perm_seed).permutation(n)
     return K[np.ix_(p, p)]
-
-
-def recording_greedy(seen):
-    """greedy_map as a sub-solver that keeps a copy of every block it gets."""
-    def solve(K):
-        seen.append(K.copy())
-        return mi.greedy_map(K)
-    return solve
 
 
 class TestGreedyMap:
@@ -229,17 +222,12 @@ class TestBlockwiseMap:
 
     def test_subsolver_gets_block_unrepaired(self):
         # lambda_min ~ -1e-9: float noise of the size criterion 02 allows;
-        # the block reaches the sub-solver and the trace exactly as given
+        # the block reaches the sub-solver exactly as given
         L = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
         seen = []
-
-        def recording(K):
-            seen.append(K.copy())
-            return mi.greedy_map(K)
-
-        sel, trace = mi.blockwise_map(L, km.BlockPartition((2,), 0), recording)
-        assert len(seen) == 1 and np.array_equal(seen[0], L)
-        assert np.array_equal(trace.blocks[0].reduced_kernel, L)
+        sel, _ = mi.blockwise_map(L, km.BlockPartition((2,), 0),
+                                  oracle.recording(seen))
+        assert len(seen) == 1 and np.array_equal(seen[0][0], L)
         assert np.array_equal(sel, [0])
 
     @pytest.mark.parametrize("collect_trace", [True, False])
@@ -252,11 +240,11 @@ class TestBlockwiseMap:
                       [0.0, 0.0, 0.3, 1.5]])
         part = km.BlockPartition((2, 2), 1)
         seen = []
-        sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
+        sel, _ = mi.blockwise_map(L, part, oracle.recording(seen),
                                   collect_trace)
         assert sel.tolist() == [0, 2, 3]
         assert np.array_equal(sel, oracle.blockwise_map_conditional_form(L, part))
-        assert np.array_equal(seen[1], L[2:, 2:])
+        assert np.array_equal(seen[1][0], L[2:, 2:])
 
     @pytest.mark.parametrize("collect_trace", [True, False])
     def test_schur_step_restricted_to_leading_columns(self, collect_trace):
@@ -268,11 +256,11 @@ class TestBlockwiseMap:
         L = mc.psd_repair(np.where(mask, B.T @ B, 0.0), eps=1e-8)
         part = km.BlockPartition((4, 4), 3)
         seen = []
-        sel, _ = mi.blockwise_map(L, part, recording_greedy(seen),
+        sel, _ = mi.blockwise_map(L, part, oracle.recording(seen),
                                   collect_trace)
         assert sel.tolist() == list(range(8))
         assert np.array_equal(sel, oracle.blockwise_map_conditional_form(L, part))
-        K = seen[1]
+        K = seen[1][0]
         assert np.array_equal(K[1:], L[5:, 4:])
         assert np.array_equal(K[:, 1:], L[4:, 5:])
         S = oracle.schur_complement(L, [0, 1, 2, 3], [4, 5, 6, 7])
@@ -332,21 +320,33 @@ class TestBlockwiseMap:
         with pytest.raises(ValueError, match="not symmetric"):
             mi.blockwise_map(L, part, skew, collect_trace)
 
-    def test_trace_keeps_plain_writeable_copies(self):
-        L, part = synthetic(seed=7)
-        _, trace = mi.blockwise_map(L, part)
-        for b in trace.blocks:
-            K = b.reduced_kernel
-            assert type(K) is np.ndarray and K.flags.writeable
-            assert not np.shares_memory(K, L)
-
-    def test_untraced_block_without_schur_step_is_not_copied(self):
+    @pytest.mark.parametrize("collect_trace", [True, False])
+    def test_block_without_schur_step_is_not_copied(self, collect_trace):
         L, _ = synthetic(seed=8)
         seen = []
         mi.blockwise_map(L, km.BlockPartition((L.shape[0],), 0),
                          lambda K: seen.append(K) or mi.greedy_map(K),
-                         collect_trace=False)
+                         collect_trace)
         assert np.shares_memory(seen[0], L)
+
+    def test_traced_run_peaks_like_untraced_run(self):
+        # one 1500-item block with no Schur step: a trace that kept a copy
+        # of the block (18 MB) would peak about 7x above the untraced run
+        t = np.cumsum(np.random.default_rng(0).uniform(20.0, 36.0, 1500))
+        q = np.random.default_rng(1).uniform(0.5, 3.0, t.size)
+        kern, part = cp.build_cpd_kernel(t, q, sigma=200.0)
+        assert part.m == 1
+        peaks = {}
+        for collect_trace in (False, True):
+            tracemalloc.start()
+            try:
+                sel, _ = mi.blockwise_map(kern.L, part,
+                                          collect_trace=collect_trace)
+                peaks[collect_trace] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sel.size > 100
+        assert peaks[True] < 1.2 * peaks[False], peaks
 
     @pytest.mark.parametrize("collect_trace", [True, False])
     def test_blocks_share_the_symmetry_scale_of_L(self, collect_trace):
@@ -388,16 +388,17 @@ class TestBlockwiseMap:
 
     def test_trace_invariants(self):
         L, part = synthetic(seed=3)
-        sel, trace = mi.blockwise_map(L, part)
+        seen = []
+        sel, trace = mi.blockwise_map(L, part, oracle.recording(seen))
         assert sel.dtype == np.int64 and np.all(np.diff(sel) > 0)
-        assert len(trace.blocks) == part.m
-        for b in trace.blocks:
+        assert len(trace.blocks) == len(seen) == part.m
+        assert [b.span for b in trace.blocks] == list(part.ranges())
+        for b, (K, local) in zip(trace.blocks, seen):
             start, stop = b.span
+            assert K.shape == (stop - start, stop - start)
             assert np.all((b.selected >= start) & (b.selected < stop))
-            local = b.selected - start
-            assert np.allclose(
-                b.reduced_kernel[np.ix_(local, local)],
-                b.reduced_selected_kernel, atol=1e-10)
+            assert np.array_equal(b.selected, local + start)
+            assert b.ms >= 0.0
 
     def test_matches_conditional_form(self):
         # 30x30 kernels, blocks well above gamma
@@ -407,7 +408,7 @@ class TestBlockwiseMap:
             s2 = oracle.blockwise_map_conditional_form(L, part)
             assert np.array_equal(np.sort(s1), np.sort(s2)), f"seed {seed}"
 
-    def test_fused_path_matches_traced_path(self):
+    def test_trace_modes_select_the_same_items(self):
         for seed in range(10):
             L, _ = synthetic(N=100, seed=seed, overlaps=(0, 2, 4, 6),
                              blocks=(10, 20), d=120)
@@ -531,8 +532,9 @@ class TestLogProb:
                             blocks=(low, low + extra), d=N + 20)
         rng = np.random.default_rng(pick_seed)
         pick = lambda K: np.flatnonzero(rng.random(K.shape[0]) < frac)
-        sel, trace = mi.blockwise_map(L, part, pick)
+        seen = []
+        sel, _ = mi.blockwise_map(L, part, oracle.recording(seen, pick))
         lhs = mi.log_prob_unnormalized(L, sel)
-        rhs = sum(mc.log_det(b.reduced_selected_kernel)
-                  for b in trace.blocks if b.selected.size)
+        rhs = sum(mc.log_det(K[np.ix_(local, local)])
+                  for K, local in seen if local.size)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
