@@ -38,10 +38,13 @@ class DetectionConfig:
         if self.window < 2:
             raise ValueError("window must be at least 2")
         # written so that NaN fails them
-        if not 0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
-        if not self.eps_zero >= 0:
-            raise ValueError("eps_zero must be non-negative")
+        for name in ("sigma", "quality_gain", "event_step"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("delta_reg", "quality_exponent"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        km.check_eps_zero(self.eps_zero)
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.metric not in metrics.METRICS:

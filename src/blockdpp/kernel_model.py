@@ -100,17 +100,23 @@ class SyntheticKernelSpec:
 
 
 def build_quality_diversity_kernel(q, S) -> DppKernel:
-    """L = diag(q) @ S @ diag(q), keeping q alongside L."""
+    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
+    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor."""
     q = np.asarray(q, dtype=np.float64).ravel()
-    S = mc.as_matrix(S)
+    S = mc.as_psd(S)
     if q.size != S.shape[0]:
         raise ValueError("quality vector and similarity matrix sizes differ")
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise ValueError("quality values must be positive and finite")
-    if q.size and mc.min_eigenvalue(S) < -1e-8:
-        raise ValueError("similarity matrix is not PSD to tolerance")
     L = q[:, None] * S * q[None, :]
     return DppKernel(L=L, quality=q.copy())
+
+
+def check_eps_zero(eps_zero: float) -> None:
+    """Reject an eps_zero that is negative or NaN: |L_ij| > NaN is false
+    everywhere, so no entry would count as nonzero."""
+    if not eps_zero >= 0:
+        raise ValueError("eps_zero must be non-negative")
 
 
 def gaussian_position_similarity(times, sigma: float,
@@ -127,6 +133,7 @@ def gaussian_position_similarity(times, sigma: float,
         raise ValueError("times must be strictly increasing")
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
+    check_eps_zero(eps_zero)
     D = t[:, None] - t[None, :]
     S = np.exp(-(D * D) / (sigma * sigma))
     S[S < eps_zero] = 0.0
@@ -163,6 +170,7 @@ def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
     above the cut reaches too far right) or M[p-gamma-1] >= p (a row above
     the corner crosses the cut).
     """
+    check_eps_zero(eps_zero)
     n = L.shape[0]
     M = np.maximum.accumulate(_reach(L, eps_zero))
     p = np.arange(n)

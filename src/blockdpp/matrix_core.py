@@ -1,10 +1,12 @@
-"""Dense symmetric-matrix primitives, numpy only: the two doors for a kernel
-(``as_matrix``, ``as_square``), log-determinant and inversion, eigenvalues.
+"""Dense symmetric-matrix primitives, numpy only: the three doors for a kernel
+(``as_square``, ``as_matrix``, ``as_psd``), log-determinant and inversion.
 
-One LAPACK Cholesky (``_cholesky_pivots``) sits behind ``log_det``,
-``inverse_spd`` and the batched ``inverse_logdet_spd``: a matrix that is not
-positive definite, or has a squared pivot at or below DEFAULT_PIVOT_TOL *
-max(1, its largest diagonal entry), raises SingularToTolerance.
+The one PSD rule, ``as_psd``'s: A + PSD_TOL * max(1, max_i A_ii) * I has a
+Cholesky factor, so float noise around a zero eigenvalue passes.  One LAPACK
+Cholesky (``_cholesky_pivots``) sits behind ``log_det``, ``inverse_spd`` and
+the batched ``inverse_logdet_spd``: a matrix that is not positive definite,
+or has a squared pivot at or below DEFAULT_PIVOT_TOL * max(1, its largest
+diagonal entry), raises SingularToTolerance.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import NonFinite, SingularToTolerance
 
 DEFAULT_PIVOT_TOL = 1e-10
+PSD_TOL = 1e-8
 SYMMETRY_TOL = 1e-9
 # side of the square tiles of as_matrix's symmetry scan; a tile and its
 # transposed partner stay in cache, and the temporaries stay small
@@ -92,6 +95,18 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
+def as_psd(M) -> np.ndarray:
+    """as_matrix, then the PSD rule; the shifted copy is freed on return."""
+    A = as_matrix(M)
+    C = A.copy()
+    C.flat[::A.shape[0] + 1] += PSD_TOL * max(1.0, A.diagonal().max(initial=0.0))
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix is not positive semidefinite to tolerance") from None
+    return A
+
+
 def as_index_set(idx, n: int) -> np.ndarray:
     """Validate a strictly increasing 0-based index set for an n x n matrix."""
     a = np.asarray(idx, dtype=np.int64).ravel()
@@ -152,17 +167,6 @@ def inverse_logdet_spd(C):
     return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
 
 
-def min_eigenvalue(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    A = as_matrix(M)
-    if A.shape[0] == 0:
-        raise ValueError("min_eigenvalue undefined for the 0x0 matrix")
-    lam = float(np.linalg.eigvalsh(A)[0])
-    if not np.isfinite(lam):
-        raise NonFinite("eigenvalue computation produced a non-finite value")
-    return lam
-
-
 def psd_repair(M, eps: float = 0.0) -> np.ndarray:
     """Return M if PSD, else M shifted by (|lambda_min| + eps) on the diagonal.
 
@@ -171,7 +175,7 @@ def psd_repair(M, eps: float = 0.0) -> np.ndarray:
     A = as_matrix(M)
     if A.shape[0] == 0:
         return A.copy()
-    lam = min_eigenvalue(A)
+    lam = float(np.linalg.eigvalsh(A)[0])
     if lam >= 0.0:
         return A.copy()
     return A + (abs(lam) + eps) * np.eye(A.shape[0])

@@ -196,6 +196,15 @@ class TestDetect:
                    "-o", str(tmp_path / "x.json")) == 1
         assert field in capsys.readouterr().err
 
+    def test_zero_quality_gain_is_one_error_line(self, series_files, tmp_path,
+                                                 capsys):
+        ts, _ = series_files
+        assert run("detect", "--series", str(ts), "--quality-gain", "0",
+                   "-o", str(tmp_path / "x.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "quality_gain" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestEval:
     @pytest.fixture

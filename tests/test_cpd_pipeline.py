@@ -37,8 +37,25 @@ class TestDetectionConfig:
         with pytest.raises(ValueError, match=field):
             cp.DetectionConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta_reg", np.nan), ("delta_reg", -1e-6), ("delta_reg", np.inf),
+        ("quality_gain", 0.0), ("quality_gain", -1.0), ("quality_gain", np.nan),
+        ("quality_gain", np.inf), ("quality_exponent", np.nan),
+        ("quality_exponent", -1.0), ("quality_exponent", np.inf),
+        ("event_step", 0.0), ("event_step", -1.0), ("event_step", np.nan),
+        ("event_step", np.inf)])
+    def test_rejects_bad_metric_and_quality_settings(self, field, value):
+        # delta_reg NaN, quality_gain 0 or -1 each selected nothing, with no
+        # error, on a series with four true changes
+        with pytest.raises(ValueError, match=field):
+            cp.DetectionConfig(**{field: value})
+
     def test_zero_eps_zero_is_valid(self):
         assert cp.DetectionConfig(eps_zero=0.0).eps_zero == 0.0
+
+    @pytest.mark.parametrize("field", ["delta_reg", "quality_exponent"])
+    def test_zero_regularisation_and_exponent_are_valid(self, field):
+        assert getattr(cp.DetectionConfig(**{field: 0.0}), field) == 0.0
 
 
 class TestPickCandidates:

@@ -41,6 +41,18 @@ class TestMatrixCsv:
         p.write_text("1,1\n1,1\n")   # eigenvalues 2 and 0
         assert np.array_equal(bio.load_matrix_csv(p), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("lam_min, ok", [(-0.5e-8, True), (-2e-8, False)])
+    def test_psd_tolerance_of_a_unit_diagonal(self, tmp_path, lam_min, ok):
+        off = 1.0 - lam_min    # eigenvalues 2 - lam_min and lam_min
+        A = np.array([[1.0, off], [off, 1.0]])
+        p = tmp_path / "m.csv"
+        bio.save_csv(p, A)
+        if ok:
+            assert np.array_equal(bio.load_matrix_csv(p), A)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                bio.load_matrix_csv(p)
+
 
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):

@@ -84,6 +84,24 @@ class TestGaussianSimilarity:
         with pytest.raises(ValueError, match="sigma"):
             km.gaussian_position_similarity([1.0, 2.0], sigma)
 
+    @pytest.mark.parametrize("eps_zero", [np.nan, -1e-12])
+    def test_rejects_nan_or_negative_eps_zero(self, eps_zero):
+        # with eps_zero NaN, S < eps_zero is false everywhere and nothing
+        # would be truncated
+        with pytest.raises(ValueError, match="eps_zero"):
+            km.gaussian_position_similarity([1.0, 2.0], 1.0, eps_zero)
+
+    @pytest.mark.parametrize("sigma", [5.0, 50.0, 200.0])
+    @pytest.mark.parametrize("eps_zero", [0.0, km.DEFAULT_EPS_ZERO])
+    def test_similarity_is_psd(self, sigma, eps_zero):
+        # a Gaussian kernel on distinct points, truncated below eps_zero;
+        # candidate spacings of 2 make it numerically rank deficient
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.integers(2, 12, size=300)).astype(np.float64)
+        S = km.gaussian_position_similarity(t, sigma, eps_zero)
+        assert np.linalg.eigvalsh(S)[0] >= -1e-10
+        assert mc.as_psd(S) is S
+
 
 class TestQualityDiversityKernel:
     def test_construction(self):
@@ -106,6 +124,29 @@ class TestQualityDiversityKernel:
         S = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError):
             km.build_quality_diversity_kernel([1.0, 1.0], S)
+
+    @pytest.mark.parametrize("lam_min, ok", [(-0.5e-8, True), (-2e-8, False)])
+    def test_psd_tolerance_of_a_unit_diagonal_similarity(self, lam_min, ok):
+        off = 1.0 - lam_min    # eigenvalues 2 - lam_min and lam_min
+        S = np.array([[1.0, off], [off, 1.0]])
+        if ok:
+            assert km.build_quality_diversity_kernel([1.0, 2.0], S).n == 2
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                km.build_quality_diversity_kernel([1.0, 2.0], S)
+
+    def test_one_scan_and_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        scan = mc.as_matrix
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(mc, "as_matrix", lambda M: calls.append(1) or scan(M))
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        S = km.gaussian_position_similarity(np.arange(0.0, 40.0, 2.0), 10.0)
+        km.build_quality_diversity_kernel(np.linspace(0.5, 2.0, 20), S)
+        assert calls == [1]
 
 
 class TestGammaPartition:
@@ -134,6 +175,13 @@ class TestGammaPartition:
     def test_rejects_non_square(self, L):
         with pytest.raises(ValueError, match="expected a square matrix"):
             km.gamma_partition(L, 0)
+
+    @pytest.mark.parametrize("eps_zero", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_eps_zero(self, eps_zero):
+        # with eps_zero NaN, |L| > eps_zero is false everywhere, and a dense
+        # kernel would split into singletons
+        with pytest.raises(ValueError, match="eps_zero"):
+            km.gamma_partition(np.ones((5, 5)), 0, eps_zero)
 
     def test_kernel_and_its_matrix_partition_alike(self):
         kern, _ = km.generate_synthetic_kernel(km.SyntheticKernelSpec(N=60, seed=3))
@@ -252,6 +300,12 @@ class TestValidatePartition:
         with pytest.raises(ValueError, match="expected a square matrix"):
             km.validate_partition(L, km.BlockPartition((1, 2), 0))
 
+    @pytest.mark.parametrize("eps_zero", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_eps_zero(self, eps_zero):
+        with pytest.raises(ValueError, match="eps_zero"):
+            km.validate_partition(np.ones((5, 5)), km.BlockPartition((2, 3), 0),
+                                  eps_zero)
+
     def test_kernel_and_its_matrix_validate_alike(self):
         kern, part = km.generate_synthetic_kernel(km.SyntheticKernelSpec(N=60, seed=3))
         for P in (part, km.BlockPartition((30, 30), 0)):
@@ -270,7 +324,7 @@ class TestSyntheticKernel:
         for seed in range(5):
             kern, _ = km.generate_synthetic_kernel(
                 km.SyntheticKernelSpec(N=80, seed=seed))
-            assert mc.min_eigenvalue(kern.L) >= -1e-10
+            assert np.linalg.eigvalsh(kern.L)[0] >= -1e-10
 
     def test_ground_truth_partition_validates(self):
         for seed in range(10):

@@ -203,17 +203,58 @@ class TestSchurComplement:
         for seed in range(10):
             A = random_spd(9, seed)
             S = oracle.schur_complement(A, [0, 1, 2], list(range(3, 9)))
-            assert mc.min_eigenvalue(S) >= -1e-10
+            assert np.linalg.eigvalsh(S)[0] >= -1e-10
 
 
-class TestEigenvalues:
-    def test_matches_eigvalsh(self):
-        A = random_spd(6, 1)
-        assert mc.min_eigenvalue(A) == pytest.approx(np.linalg.eigvalsh(A)[0])
+def near_singular(lam_min, scale=1.0):
+    """scale * [[1, 1 - lam_min], [1 - lam_min, 1]]: unit diagonal times
+    scale, eigenvalues scale * (2 - lam_min) and scale * lam_min."""
+    off = 1.0 - lam_min
+    return scale * np.array([[1.0, off], [off, 1.0]])
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mc.min_eigenvalue(np.zeros((0, 0)))
+
+class TestAsPsd:
+    @pytest.mark.parametrize("lam_min, ok", [(0.0, True), (-0.5e-8, True),
+                                             (-2e-8, False), (-1.0, False)])
+    def test_tolerance_on_a_unit_diagonal(self, lam_min, ok):
+        A = near_singular(lam_min)
+        if ok:
+            assert mc.as_psd(A) is A
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                mc.as_psd(A)
+
+    @pytest.mark.parametrize("lam_min, ok", [(-0.5e-8, True), (-2e-8, False)])
+    def test_tolerance_scales_with_the_largest_diagonal(self, lam_min, ok):
+        # a lambda_min of -0.5e-4 passes at diagonal 1e4, where an absolute
+        # bound of 1e-8 would reject it
+        A = near_singular(lam_min, scale=1e4)
+        assert np.linalg.eigvalsh(A)[0] == pytest.approx(1e4 * lam_min, rel=1e-6)
+        if ok:
+            mc.as_psd(A)
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                mc.as_psd(A)
+
+    def test_accepts_empty(self):
+        assert mc.as_psd(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFinite):
+            mc.as_psd([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            mc.as_psd([[1.0, 0.5], [0.0, 1.0]])
+
+    def test_scans_once_and_leaves_the_input_alone(self, monkeypatch):
+        calls = []
+        scan = mc.as_matrix
+        monkeypatch.setattr(mc, "as_matrix", lambda M: calls.append(1) or scan(M))
+        A = random_spd(5, 3)
+        before = A.copy()
+        assert mc.as_psd(A) is A
+        assert calls == [1] and np.array_equal(A, before)
 
 
 class TestPsdRepair:
@@ -224,7 +265,7 @@ class TestPsdRepair:
     def test_indefinite_shifted_to_psd(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
         R = mc.psd_repair(A)
-        assert mc.min_eigenvalue(R) >= -1e-12
+        assert np.linalg.eigvalsh(R)[0] >= -1e-12
         # off-diagonal pattern untouched
         assert np.array_equal(R - np.diag(np.diagonal(R)),
                               A - np.diag(np.diagonal(A)))
@@ -232,4 +273,4 @@ class TestPsdRepair:
     def test_eps_gives_strict_margin(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         R = mc.psd_repair(A, eps=1e-6)
-        assert mc.min_eigenvalue(R) >= 1e-6 - 1e-12
+        assert np.linalg.eigvalsh(R)[0] >= 1e-6 - 1e-12

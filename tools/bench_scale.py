@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Scale sweep for block-wise MAP: the block-wise / full-greedy time ratio.
+"""Scale sweep: block-wise MAP against full greedy, and detection by stage.
 
     python3 tools/bench_scale.py --label change [--src src] [-o BENCH_scale.json]
 
 Imports blockdpp from --src (default: the checkout's src/), so the same
-script measures any commit's tree.  For N = 500, 2000 and 5000 it draws one
+script measures any commit's tree.
+
+MAP half (``rows``).  For N = 500, 2000 and 5000 it draws one
 synthetic kernel (seed 5000), as generated ("default", greedy keeps nearly
 every item) and divided by its 90th-percentile diagonal ("scaled", greedy
 keeps about N/12, as in the benchmark's map_sparse workload).  On each it
@@ -17,8 +19,18 @@ times, as medians of REPEATS runs:
   beforehand and ``matrix_core.as_matrix`` swapped for a plain float64
   conversion, so neither side pays for validation.
 
-The ratio of each pair is block-wise over full, at g = 0 and 6.  The
-entry, keyed by --label, replaces any earlier entry of that label in the
+The ratio of each pair is block-wise over full, at g = 0 and 6.
+
+Detection half (``detect_rows``).  For T = 2000, 20000 and 200000 at D = 1
+and 8, a piecewise-Gaussian series of DETECT_SEGMENT-long segments (seed
+DETECT_SEED: mean coordinates N(0, 2), covariances U(0.5, 2) * I) goes
+through ``detect_change_points`` with ``DetectionConfig(metric="glr_gaussian")``
+REPEATS times, in one fresh child process per point.  Each row records the
+median of each stage's ``timings_ms`` and of the whole call, the candidate
+count, the picks (their count, a digest of the selected times, and F1 at
+the window's tolerance) and the child's peak RSS.
+
+The entry, keyed by --label, replaces any earlier entry of that label in the
 output file; it records the environment and the git SHA of the --src tree
 (``src_modified`` is true when that tree differs from its HEAD).  Uses only
 the standard library and numpy.
@@ -27,7 +39,9 @@ the standard library and numpy.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -42,6 +56,9 @@ SIZES = (500, 2000, 5000)
 GAMMAS = (0, 6)
 REPEATS = 5
 SEED = 5000
+DETECT_POINTS = tuple((T, D) for T in (2000, 20000, 200000) for D in (1, 8))
+DETECT_SEGMENT = 250
+DETECT_SEED = 1
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -123,6 +140,61 @@ def sweep() -> list:
     return rows
 
 
+def peak_rss_mb() -> float:
+    """VmHWM, this process's peak resident set (Linux).  ru_maxrss would also
+    count the parent a child is forked from before it executes."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise OSError("no VmHWM in /proc/self/status")
+
+
+def detect_point(src: str, T: int, D: int) -> dict:
+    """One detection point; run it in a fresh process, whose peak RSS it reports."""
+    sys.path.insert(0, src)
+    import numpy as np
+    from blockdpp import cpd_pipeline as cpd
+    from blockdpp import evaluation as ev
+
+    rng = np.random.default_rng(DETECT_SEED)
+    k = T // DETECT_SEGMENT
+    means = rng.normal(0.0, 2.0, (k, D))
+    variances = rng.uniform(0.5, 2.0, k)
+    X, truth = cpd.generate_piecewise_gaussian(
+        DETECT_SEED, [(DETECT_SEGMENT, m, v) for m, v in zip(means, variances)])
+    cfg = cpd.DetectionConfig(metric="glr_gaussian")
+    cpd.detect_change_points(X[:2 * DETECT_SEGMENT], cfg)   # not timed: warm-up
+    stages, totals = [], []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        rep = cpd.detect_change_points(X, cfg)
+        totals.append((time.perf_counter() - t0) * 1e3)
+        stages.append(rep.timings_ms)
+    score = ev.precision_recall_f1(ev.match_changes(rep.selected, truth, cfg.window))
+    return {
+        "T": T, "D": D,
+        "candidates": int(rep.candidates.times.size),
+        "picks": int(rep.selected.size),
+        "selected_sha256": hashlib.sha256(
+            np.asarray(rep.selected, dtype=np.float64).tobytes()).hexdigest(),
+        "f1": score.f1,
+        "total_ms": statistics.median(totals),
+        "timings_ms": {s: statistics.median(t[s] for t in stages) for s in stages[0]},
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
+def detect_sweep(src: Path) -> list:
+    rows = []
+    for T, D in DETECT_POINTS:
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            row = pool.apply(detect_point, (str(src), T, D))
+        print(json.dumps(row), file=sys.stderr)
+        rows.append(row)
+    return rows
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
@@ -134,7 +206,8 @@ def main(argv=None) -> int:
         p.error(f"no blockdpp package under {a.src}")
     sys.path.insert(0, str(src))
     entry = {"label": a.label, "repeats": REPEATS,
-             "environment": environment(src), "rows": sweep()}
+             "environment": environment(src), "rows": sweep(),
+             "detect_rows": detect_sweep(src)}
     doc = json.loads(a.output.read_text()) if a.output.exists() else {"entries": []}
     doc["entries"] = [e for e in doc["entries"] if e["label"] != a.label] + [entry]
     a.output.write_text(json.dumps(doc, indent=1) + "\n")
