@@ -45,8 +45,7 @@ class DetectionConfig:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
         km.check_eps_zero(self.eps_zero)
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        km._check_gamma(self.gamma)
         if self.metric not in metrics.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
 
@@ -141,15 +140,16 @@ def _event_quality(E: np.ndarray, cand_times: np.ndarray,
 
 def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
                      eps_zero: float = km.DEFAULT_EPS_ZERO):
-    """Quality/position-diversity kernel over candidates plus its partition."""
-    cand_times = np.asarray(cand_times, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if cand_times.size != q.size or cand_times.size == 0:
+    """Quality/position-diversity kernel over candidates plus its partition.
+
+    L = diag(q) S diag(q), scaled into S, is never factored: greedy pivots on
+    picks only (each above 1), and lambda_min(L) >= -delta * max q^2 (S's bound).
+    """
+    if np.size(cand_times) != np.size(q) or np.size(q) == 0:
         raise ValueError("need matching, nonempty candidates and qualities")
     S = km.gaussian_position_similarity(cand_times, sigma, eps_zero)
-    kern = km.build_quality_diversity_kernel(q, S)
-    part = km.gamma_partition(kern.L, gamma, eps_zero)
-    return kern, part
+    kern = km._scale_by_quality(q, S)
+    return kern, km.gamma_partition(kern.L, gamma, eps_zero)
 
 
 def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> DetectionReport:

@@ -31,13 +31,11 @@ def load_series_csv(path) -> np.ndarray:
         [float(x) for x in first.strip().split(",") if x != ""]
     except ValueError:
         skip = 1
-    A = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, dtype=np.float64)
-    return A
+    return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, dtype=np.float64)
 
 
 def load_events_csv(path) -> np.ndarray:
-    e = np.loadtxt(path, delimiter=",", ndmin=1, dtype=np.float64)
-    return e.ravel()
+    return np.loadtxt(path, delimiter=",", ndmin=1, dtype=np.float64).ravel()
 
 
 def save_csv(path, rows, header: str = "") -> None:

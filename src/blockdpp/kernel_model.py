@@ -31,8 +31,7 @@ class BlockPartition:
     def __post_init__(self):
         if not self.block_sizes or any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        _check_gamma(self.gamma)
 
     @property
     def n(self) -> int:
@@ -99,17 +98,22 @@ class SyntheticKernelSpec:
             raise ValueError("feature_dim must be positive")
 
 
-def build_quality_diversity_kernel(q, S) -> DppKernel:
-    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
-    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor."""
+def _scale_by_quality(q, S: np.ndarray) -> DppKernel:
+    """DppKernel of L = diag(q) @ S @ diag(q), written over the float64 S."""
     q = np.asarray(q, dtype=np.float64).ravel()
-    S = mc.as_psd(S)
     if q.size != S.shape[0]:
         raise ValueError("quality vector and similarity matrix sizes differ")
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise ValueError("quality values must be positive and finite")
-    L = q[:, None] * S * q[None, :]
-    return DppKernel(L=L, quality=q.copy())
+    S *= q[:, None]
+    S *= q
+    return DppKernel(L=S, quality=q.copy())
+
+
+def build_quality_diversity_kernel(q, S) -> DppKernel:
+    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
+    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor."""
+    return _scale_by_quality(q, mc.as_psd(S).copy())
 
 
 def check_eps_zero(eps_zero: float) -> None:
@@ -119,12 +123,19 @@ def check_eps_zero(eps_zero: float) -> None:
         raise ValueError("eps_zero must be non-negative")
 
 
+def _check_gamma(gamma) -> None:
+    if not isinstance(gamma, (int, np.integer)) or gamma < 0:
+        raise ValueError("gamma must be a non-negative integer")
+
+
 def gaussian_position_similarity(times, sigma: float,
                                  eps_zero: float = DEFAULT_EPS_ZERO) -> np.ndarray:
     """S_ij = exp(-(t_i - t_j)^2 / sigma^2), truncated to exact zeros below eps_zero.
 
     The truncation is what produces the almost-block-diagonal structure when
-    positions cluster.
+    positions cluster.  S is a PSD Gaussian kernel before it, and by Weyl it
+    lowers lambda_min by at most delta = 2 eps_zero / (1 - exp(-2 r h / sigma^2)),
+    r = sigma sqrt(ln(1/eps_zero)), h the least spacing: lambda_min(S) >= -delta.
     """
     t = np.asarray(times, dtype=np.float64).ravel()
     if not np.all(np.isfinite(t)):
@@ -134,8 +145,10 @@ def gaussian_position_similarity(times, sigma: float,
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
     check_eps_zero(eps_zero)
-    D = t[:, None] - t[None, :]
-    S = np.exp(-(D * D) / (sigma * sigma))
+    S = t[:, None] - t[None, :]
+    S *= S
+    S /= -(sigma * sigma)
+    np.exp(S, out=S)
     S[S < eps_zero] = 0.0
     np.fill_diagonal(S, 1.0)
     return S
@@ -188,8 +201,7 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
     attains the maximum block count.
     """
     A = mc.as_square(L)
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    _check_gamma(gamma)
     n = A.shape[0]
     # entry 0 of the mask is always False, so the bounds start at 0
     bounds = np.flatnonzero(~_invalid_cuts(A, gamma, eps_zero)).tolist() + [n]

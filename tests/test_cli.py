@@ -6,7 +6,8 @@ import pytest
 
 from blockdpp import cli
 from blockdpp import io as bio
-from blockdpp.cpd_pipeline import DetectionConfig, generate_piecewise_gaussian
+from blockdpp.cpd_pipeline import (DetectionConfig, generate_piecewise_gaussian,
+                                   generate_poisson_events)
 
 
 def run(*argv):
@@ -196,6 +197,26 @@ class TestDetect:
                    "-o", str(tmp_path / "x.json")) == 1
         assert field in capsys.readouterr().err
 
+    def test_truncating_eps_zero_runs(self, tmp_path):
+        # both runs exited 1 on a runtime PSD check of the truncated S
+        X, _ = generate_piecewise_gaussian(
+            0, [(200, m, 1.0) for m in (0, 3, 0, 3, 6)])
+        ts = tmp_path / "ts.csv"
+        bio.save_csv(ts, X)
+        out = tmp_path / "s.json"
+        assert run("detect", "--series", str(ts), "--eps-zero", "1e-4",
+                   "-o", str(out)) == 0
+        assert bio.load_json(out)["selected"] == [200, 380, 600, 800]
+        rng = np.random.default_rng([1, 0])
+        E, _ = generate_poisson_events(1, [
+            (200.0, float(r))
+            for r in rng.permutation(np.resize([1.0, 3.0, 8.0], 12))])
+        ev = tmp_path / "ev.csv"
+        bio.save_csv(ev, E)
+        assert run("detect", "--events", str(ev), "-w", "20", "--metric",
+                   "glr-poisson", "--eps-zero", "1e-8",
+                   "-o", str(tmp_path / "e.json")) == 0
+
     def test_zero_quality_gain_is_one_error_line(self, series_files, tmp_path,
                                                  capsys):
         ts, _ = series_files
@@ -355,6 +376,19 @@ class TestConfigFile:
                                     "series": "ts.csv", "report": "r.json"}))
         args = parsed("--config", str(cfgf), command)
         assert all(getattr(args, dest) is not None for dest in required)
+
+    def test_non_integer_config_gamma_is_one_error_line(self, series_files,
+                                                       tmp_path, capsys):
+        # a config value skips the flag's type, and gamma 1.5 ended in a
+        # TypeError traceback from slicing
+        ts, _ = series_files
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"gamma": 1.5}))
+        assert run("--config", str(cfgf), "detect", "--series", str(ts),
+                   "-o", str(tmp_path / "x.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gamma" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("content", [None, "{", "[1]"])
     def test_bad_config_file_is_a_runtime_error(self, content, tmp_path,

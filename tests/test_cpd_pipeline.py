@@ -1,9 +1,14 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import loop_oracles as oracle
 from blockdpp import cpd_metrics as cm
 from blockdpp import cpd_pipeline as cp
+from blockdpp import kernel_model as km
+from blockdpp import matrix_core as mc
 
 
 def profile(values, window=5):
@@ -49,6 +54,12 @@ class TestDetectionConfig:
         # error, on a series with four true changes
         with pytest.raises(ValueError, match=field):
             cp.DetectionConfig(**{field: value})
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.5, float("nan")])
+    def test_rejects_non_integer_gamma(self, gamma):
+        # gamma=2.0 used to fail with a TypeError from slicing, at detection
+        with pytest.raises(ValueError, match="gamma"):
+            cp.DetectionConfig(gamma=gamma)
 
     def test_zero_eps_zero_is_valid(self):
         assert cp.DetectionConfig(eps_zero=0.0).eps_zero == 0.0
@@ -176,6 +187,52 @@ class TestBuildCpdKernel:
         with pytest.raises(ValueError):
             cp.build_cpd_kernel([1.0, 2.0], [1.0], sigma=1.0)
 
+    @staticmethod
+    def candidates(n, seed=0):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.integers(2, 12, n)).astype(np.float64)
+        return t, rng.uniform(0.2, 3.0, n)
+
+    @pytest.mark.parametrize("sigma", [5.0, 50.0, 200.0])
+    @pytest.mark.parametrize("eps_zero", [0.0, km.DEFAULT_EPS_ZERO, 1e-4])
+    @pytest.mark.parametrize("gamma", [0, 3])
+    def test_matches_the_two_step_formula(self, sigma, eps_zero, gamma):
+        # the kernel built in one buffer, against S and L built as
+        # separate arrays
+        t, q = self.candidates(300)
+        D = t[:, None] - t[None, :]
+        S_ref = np.exp(-(D * D) / (sigma * sigma))
+        S_ref[S_ref < eps_zero] = 0.0
+        np.fill_diagonal(S_ref, 1.0)
+        L_ref = q[:, None] * S_ref * q[None, :]
+        kern, part = cp.build_cpd_kernel(t, q, sigma, gamma, eps_zero)
+        assert np.array_equal(kern.L, L_ref)
+        assert np.array_equal(kern.quality, q)
+        assert part == km.gamma_partition(L_ref, gamma, eps_zero)
+
+    def test_no_factorisation(self, monkeypatch):
+        # S is PSD up to its truncation by construction (see
+        # gaussian_position_similarity), so detection does not factor it
+        def factor(*args, **kwargs):
+            raise AssertionError("factorisation called")
+
+        monkeypatch.setattr(mc, "as_psd", factor)
+        monkeypatch.setattr(np.linalg, "cholesky", factor)
+        t, q = self.candidates(50)
+        kern, _ = cp.build_cpd_kernel(t, q, sigma=20.0, eps_zero=1e-4)
+        assert kern.n == 50
+
+    def test_peak_memory_is_one_kernel(self):
+        n = 1500
+        t, q = self.candidates(n)
+        tracemalloc.start()
+        try:
+            cp.build_cpd_kernel(t, q, sigma=200.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
 
 class TestGenerators:
     def test_gaussian_shapes_and_truth(self):
@@ -242,6 +299,15 @@ class TestDetectChangePoints:
         with pytest.raises(ValueError):
             cp.detect_change_points(np.zeros(80), cp.DetectionConfig(window=50))
 
+    def test_truncating_eps_zero_keeps_detection(self):
+        # at eps_zero = 1e-4 the truncated S has a negative eigenvalue
+        # (within the bound of gaussian_position_similarity), which a
+        # runtime PSD check of S used to reject
+        X, _ = cp.generate_piecewise_gaussian(
+            0, [(200, m, 1.0) for m in (0, 3, 0, 3, 6)])
+        rep = cp.detect_change_points(X, cp.DetectionConfig(eps_zero=1e-4))
+        assert rep.selected.tolist() == [200, 380, 600, 800]
+
     def test_deterministic(self):
         X, _ = cp.generate_piecewise_gaussian(
             3, [(150, 0.0, 1.0), (150, 3.0, 1.0)])
@@ -264,6 +330,20 @@ class TestDetectEvents:
         cfg = cp.DetectionConfig(metric="glr_poisson")
         rep = cp.detect_change_points_events(E, cfg)
         assert np.min(np.abs(rep.selected - truth[0])) <= cfg.window
+
+    def test_truncating_eps_zero_selects_the_same_times(self):
+        # 12 segments of 200 with rates 1, 3 and 8: 246 candidates 2 apart at
+        # least, where lambda_min(S) = -2.4e-8 at eps_zero = 1e-8 aborted a
+        # runtime PSD check of S
+        rng = np.random.default_rng([1, 0])
+        E, _ = cp.generate_poisson_events(1, [
+            (200.0, float(r))
+            for r in rng.permutation(np.resize([1.0, 3.0, 8.0], 12))])
+        cfg = cp.DetectionConfig(window=20, metric="glr_poisson")
+        base = cp.detect_change_points_events(E, cfg)
+        rep = cp.detect_change_points_events(E, replace(cfg, eps_zero=1e-8))
+        assert base.selected.size > 0
+        assert np.array_equal(rep.selected, base.selected)
 
 
 class TestStageLoop:

@@ -34,6 +34,15 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             km.BlockPartition((3,), gamma=-1)
 
+    @pytest.mark.parametrize("gamma", [2.0, 1.5, float("nan"), "2"])
+    def test_rejects_non_integer_gamma(self, gamma):
+        # NaN passed the old gamma < 0 test
+        with pytest.raises(ValueError, match="gamma"):
+            km.BlockPartition((2,), gamma)
+
+    def test_numpy_integer_gamma_is_valid(self):
+        assert km.BlockPartition((2,), np.int64(3)).gamma == 3
+
     def test_json_roundtrip(self):
         p = km.BlockPartition((5, 2, 9), gamma=4)
         assert km.BlockPartition.from_json_dict(p.to_json_dict()) == p
@@ -102,6 +111,31 @@ class TestGaussianSimilarity:
         assert np.linalg.eigvalsh(S)[0] >= -1e-10
         assert mc.as_psd(S) is S
 
+    @pytest.mark.parametrize("spacing", ["1", "2", "random"])
+    @pytest.mark.parametrize("sigma", [5.0, 50.0, 200.0, 2000.0])
+    @pytest.mark.parametrize("eps_zero", [0.0, 1e-12, 1e-8, 1e-6, 1e-2])
+    def test_truncation_bound(self, spacing, sigma, eps_zero):
+        # the bound build_cpd_kernel relies on in place of a factorisation:
+        # the zeroed entries of a row sum to at most delta, so by Weyl
+        # lambda_min(S) >= -delta and lambda_min(diag(q) S diag(q)) >=
+        # -delta * max q^2.  Spacings 1 and 2 pack the most zeroed entries
+        # into a row; large sigma makes S numerically rank deficient.
+        rng = np.random.default_rng(11)
+        n = 200
+        t = {"1": np.arange(n, dtype=np.float64),
+             "2": np.arange(0.0, 2.0 * n, 2.0),
+             "random": np.cumsum(rng.integers(2, 40, n)).astype(np.float64)}[spacing]
+        q = rng.uniform(0.2, 3.0, n)
+        h = np.diff(t).min()
+        delta = 0.0
+        if eps_zero > 0:
+            r = sigma * np.sqrt(np.log(1.0 / eps_zero))
+            delta = 2.0 * eps_zero / (1.0 - np.exp(-2.0 * r * h / sigma**2))
+        S = km.gaussian_position_similarity(t, sigma, eps_zero)
+        L = km._scale_by_quality(q, S.copy()).L
+        assert np.linalg.eigvalsh(S)[0] >= -delta - 1e-12
+        assert np.linalg.eigvalsh(L)[0] >= -delta * q.max() ** 2 - 1e-12
+
 
 class TestQualityDiversityKernel:
     def test_construction(self):
@@ -110,6 +144,13 @@ class TestQualityDiversityKernel:
         kern = km.build_quality_diversity_kernel(q, S)
         assert np.allclose(kern.L, [[4.0, 3.0], [3.0, 9.0]])
         assert np.array_equal(kern.quality, q)
+
+    def test_leaves_the_similarity_untouched(self):
+        # L is scaled into a copy of S; the caller's S stays as it was
+        S = km.gaussian_position_similarity([0.0, 1.0, 3.0], 2.0)
+        before = S.copy()
+        kern = km.build_quality_diversity_kernel([2.0, 3.0, 0.5], S)
+        assert np.array_equal(S, before) and not np.shares_memory(kern.L, S)
 
     def test_rejects_nonpositive_quality(self):
         S = np.eye(2)
@@ -182,6 +223,12 @@ class TestGammaPartition:
         # kernel would split into singletons
         with pytest.raises(ValueError, match="eps_zero"):
             km.gamma_partition(np.ones((5, 5)), 0, eps_zero)
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.5, float("nan")])
+    def test_rejects_non_integer_gamma(self, gamma):
+        # a float gamma used to fail with a TypeError from slicing
+        with pytest.raises(ValueError, match="gamma"):
+            km.gamma_partition(np.eye(5), gamma)
 
     def test_kernel_and_its_matrix_partition_alike(self):
         kern, _ = km.generate_synthetic_kernel(km.SyntheticKernelSpec(N=60, seed=3))
