@@ -92,20 +92,21 @@ def segment_stats(X, start: int, stop: int,
     return SegmentStats(count=int(s.count), mean=centre + s.mean, cov=s.cov)
 
 
-def _symkl(s1: SegmentStats, s2: SegmentStats):
-    """Symmetrized Gaussian KL divergence over (stacks of) segment stats."""
-    D = s1.mean.shape[-1]
-    inv1, _ = mc.inverse_logdet_spd(s1.cov)
-    inv2, _ = mc.inverse_logdet_spd(s2.cov)
-    dm = s1.mean - s2.mean
-    return (np.einsum("...ij,...ji->...", s1.cov, inv2)
-            + np.einsum("...ij,...ji->...", s2.cov, inv1) - 2.0 * D
-            + np.einsum("...i,...ij,...j->...", dm, inv1 + inv2, dm))
+def _symkl(mean, cov, inv, i, j):
+    """Symmetrized Gaussian KL between entries i and j of stacked means,
+    covariances and inverses; each term gathers, then frees, its operands."""
+    D = mean.shape[-1]
+    dm = mean[i] - mean[j]
+    return (np.einsum("...ij,...ji->...", cov[i], inv[j])
+            + np.einsum("...ij,...ji->...", cov[j], inv[i]) - 2.0 * D
+            + np.einsum("...i,...ij,...j->...", dm, inv[i] + inv[j], dm))
 
 
 def symkl(s1: SegmentStats, s2: SegmentStats) -> float:
     """Symmetrized KL divergence between two Gaussian segment models."""
-    return float(_symkl(s1, s2))
+    cov = np.stack([s1.cov, s2.cov])
+    return float(_symkl(np.stack([s1.mean, s2.mean]), cov,
+                        mc.inverse_logdet_spd(cov)[0], 0, 1))
 
 
 def _gauss_loglik(s: SegmentStats, delta_reg: float):
@@ -128,20 +129,27 @@ def split_dissimilarity(X, lo, mid, hi, metric: str = "symkl",
 
     The series is centred once and every window's mean and covariance come
     from prefix sums: O(T * D^2) set-up, then batched inverses and
-    log-determinants over the windows.  A window with fewer than 2 samples
+    log-determinants, once per distinct window (the profile's right window
+    at t is its left window at t+w).  A window with fewer than 2 samples
     raises ValueError; a covariance that is not positive definite to
     tolerance raises SingularToTolerance.
     """
     if metric not in ("symkl", "glr_gaussian"):
         raise ValueError(f"unknown series metric {metric!r}")
     _, S1, S2 = _prefix_moments(as_series(X))
-    left = _window_stats(S1, S2, lo, mid, delta_reg)
-    right = _window_stats(S1, S2, mid, hi, delta_reg)
+    lo, mid, hi = np.broadcast_arrays(
+        *(np.asarray(i, dtype=np.int64) for i in (lo, mid, hi)))
+    n1 = S1.shape[0]   # a window [a, b) has key a * n1 + b
+    keys, which = np.unique(
+        np.concatenate([lo * n1 + mid, mid * n1 + hi], axis=None), return_inverse=True)
+    left, right = which.reshape((2,) + lo.shape)
+    win = _window_stats(S1, S2, keys // n1, keys % n1, delta_reg)
     if metric == "symkl":
-        return _symkl(left, right)
+        inv, _ = mc.inverse_logdet_spd(win.cov)
+        return _symkl(win.mean, win.cov, inv, left, right)
+    loglik = _gauss_loglik(win, delta_reg)
     pooled = _window_stats(S1, S2, lo, hi, delta_reg)
-    return (_gauss_loglik(left, delta_reg) + _gauss_loglik(right, delta_reg)
-            - _gauss_loglik(pooled, delta_reg))
+    return loglik[left] + loglik[right] - _gauss_loglik(pooled, delta_reg)
 
 
 def glr_gaussian(X1, X2, delta_reg: float = DEFAULT_DELTA_REG) -> float:

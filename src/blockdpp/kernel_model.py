@@ -29,8 +29,9 @@ class BlockPartition:
     gamma: int = 0
 
     def __post_init__(self):
-        if not self.block_sizes or any(s < 1 for s in self.block_sizes):
-            raise ValueError("block sizes must be positive")
+        if not self.block_sizes or not all(
+                isinstance(s, (int, np.integer)) and s >= 1 for s in self.block_sizes):
+            raise ValueError("block sizes must be positive integers")
         _check_gamma(self.gamma)
 
     @property
@@ -56,7 +57,7 @@ class BlockPartition:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BlockPartition":
-        return cls(tuple(int(s) for s in d["block_sizes"]), int(d["gamma"]))
+        return cls(tuple(d["block_sizes"]), d["gamma"])
 
 
 @dataclass

@@ -17,6 +17,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from . import kernel_model as km
 from . import matrix_core as mc
 from .errors import SingularToTolerance
 from .kernel_model import BlockPartition
@@ -29,6 +30,9 @@ UNSELECTABLE_DIAG = 1e-12
 # determinant call; together they bound its memory to a few tens of MB.
 EXHAUSTIVE_MAX_DIM = 20
 EXHAUSTIVE_CHUNK = 4096
+
+# Least rows per Cholesky in log_prob_unnormalized: many tiny ones cost more
+LOGPROB_CHUNK = 64
 
 SubSolver = Callable[[np.ndarray], np.ndarray]
 
@@ -184,15 +188,27 @@ def exhaustive_map(L) -> np.ndarray:
 def log_prob_unnormalized(L, C) -> float:
     """log det of the selected submatrix; empty selection gives 0, singular -inf.
 
-    Only the k x k selection is validated and factored (LAPACK Cholesky,
-    with no pivot tolerance); -inf means that factorisation failed.
+    Only the k x k selection B is validated.  It is cut where no exact nonzero
+    crosses (gamma_partition's gamma=0 rule at eps_zero 0), the pieces merge
+    into chunks of at least LOGPROB_CHUNK rows, and each diagonal chunk gets
+    one LAPACK Cholesky, with no pivot tolerance.  This is exact: B is block
+    diagonal over the chunks, so it is positive definite iff every chunk is,
+    and its log det is their sum.  -inf means a chunk's factorisation failed.
     """
     A = mc.as_square(L)
     idx = mc.as_index_set(C, A.shape[0])
     if idx.size == 0:
         return 0.0
-    try:
-        F = np.linalg.cholesky(mc.as_matrix(A[np.ix_(idx, idx)]))
-    except np.linalg.LinAlgError:
-        return float("-inf")
-    return float(2.0 * np.sum(np.log(np.diagonal(F))))
+    B = mc.as_matrix(A[np.ix_(idx, idx)])
+    k, start, pivots = idx.size, 0, []
+    # entry 0 of the cut mask is always False, so skip it
+    for stop in np.flatnonzero(~km._invalid_cuts(B, 0, 0.0))[1:].tolist() + [k]:
+        if stop - start < LOGPROB_CHUNK and stop < k:
+            continue
+        try:
+            F = np.linalg.cholesky(B[start:stop, start:stop])
+        except np.linalg.LinAlgError:
+            return float("-inf")
+        pivots.append(np.diagonal(F))
+        start = stop
+    return float(2.0 * np.sum(np.log(np.concatenate(pivots))))

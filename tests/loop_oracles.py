@@ -6,6 +6,8 @@ library with.
   centred on its own mean, with one Cholesky per covariance.
 - The DPP conditioning formulas behind block-wise MAP: Schur complements,
   explicit conditional kernels and the conditional form of the block loop.
+- The log-probability of a selection by one Cholesky of the whole selected
+  submatrix, which the chunked factorisation in ``map_inference`` replaced.
 - A recording sub-solver, which keeps each block that block-wise MAP hands
   to its sub-solver together with the local picks made on it.
 - The pairwise interval sweep that ``kernel_model`` used to find invalid
@@ -197,6 +199,20 @@ def blockwise_map_conditional_form(L, P, f=mi.greedy_map):
         chosen.append(local + start)
     return (np.concatenate(chosen) if chosen
             else np.empty(0, dtype=np.int64))
+
+
+def log_prob_unnormalized(L, C):
+    """log det of the k x k selection by one LAPACK Cholesky, with no pivot
+    tolerance; empty selection gives 0, a failed factorisation -inf."""
+    A = mc.as_square(L)
+    idx = mc.as_index_set(C, A.shape[0])
+    if idx.size == 0:
+        return 0.0
+    try:
+        F = np.linalg.cholesky(mc.as_matrix(A[np.ix_(idx, idx)]))
+    except np.linalg.LinAlgError:
+        return float("-inf")
+    return float(2.0 * np.sum(np.log(np.diagonal(F))))
 
 
 def recording(seen, f=mi.greedy_map):

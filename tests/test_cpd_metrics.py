@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
 from blockdpp import cpd_metrics as cm
+from blockdpp import cpd_pipeline as cp
+from blockdpp import matrix_core as mc
 from blockdpp.errors import SingularToTolerance
 
 
@@ -267,3 +269,72 @@ class TestEngineAgainstLoops:
         assert np.array_equal(fast.times, ts)
         assert np.any(slow == 0.0) and np.any(slow > 0.0)
         np.testing.assert_allclose(fast.values, slow, rtol=1e-12, atol=1e-9)
+
+
+def split_every_window(X, lo, mid, hi, metric, delta_reg=cm.DEFAULT_DELTA_REG):
+    """split_dissimilarity inverting the left and the right window of every
+    split, shared or not: the batched formula before windows were deduplicated."""
+    _, S1, S2 = cm._prefix_moments(cm.as_series(X))
+    left = cm._window_stats(S1, S2, lo, mid, delta_reg)
+    right = cm._window_stats(S1, S2, mid, hi, delta_reg)
+    if metric == "symkl":
+        D = left.mean.shape[-1]
+        inv1, _ = mc.inverse_logdet_spd(left.cov)
+        inv2, _ = mc.inverse_logdet_spd(right.cov)
+        dm = left.mean - right.mean
+        return (np.einsum("...ij,...ji->...", left.cov, inv2)
+                + np.einsum("...ij,...ji->...", right.cov, inv1) - 2.0 * D
+                + np.einsum("...i,...ij,...j->...", dm, inv1 + inv2, dm))
+
+    def loglik(s):
+        D = s.cov.shape[-1]
+        inv, logdet = mc.inverse_logdet_spd(s.cov)
+        trace_inv = np.trace(inv, axis1=-2, axis2=-1)
+        return -0.5 * s.count * (D * np.log(2.0 * np.pi) + logdet + D
+                                 - delta_reg * trace_inv)
+
+    pooled = cm._window_stats(S1, S2, lo, hi, delta_reg)
+    return loglik(left) + loglik(right) - loglik(pooled)
+
+
+class TestDistinctWindows:
+    """Inverting each distinct window once changes no bit of the profile or
+    of the candidate qualities."""
+
+    @pytest.fixture(params=[1, 8])
+    def series(self, request):
+        D = request.param
+        rng = np.random.default_rng(D)
+        segs = [(150, rng.normal(0.0, 2.0, D), rng.uniform(0.5, 2.0))
+                for _ in range(8)]
+        X, _ = cp.generate_piecewise_gaussian(D, segs)
+        return X + 1e5
+
+    @pytest.mark.parametrize("metric", ["symkl", "glr_gaussian"])
+    def test_profile_is_bit_identical(self, series, metric):
+        w = 30
+        prof = cm.dissimilarity_profile(series, w, metric)
+        ts = prof.times
+        assert np.array_equal(prof.values,
+                              split_every_window(series, ts - w, ts, ts + w, metric))
+
+    @pytest.mark.parametrize("metric", ["symkl", "glr_gaussian"])
+    def test_candidate_quality_is_bit_identical(self, series, metric):
+        cfg = cp.DetectionConfig(window=30, metric=metric)
+        cand = cp.pick_candidates(cm.dissimilarity_profile(series, 30, metric))
+        # a one-sample gap between two candidates takes the widened path too
+        times = np.union1d(cand.times, cand.times[:1] + 1)
+        cs = cp.CandidateSet(times=times, scores=np.ones(times.size),
+                             profile=cand.profile)
+        q, flags = cp.candidate_quality(series, cs, cfg)
+        bounds = np.concatenate([[0], times, [series.shape[0]]])
+        q_ref, flags_ref = cp._split_quality(
+            bounds[:-2], times, bounds[2:], series.shape[0],
+            lambda lo, mid, hi: split_every_window(series, lo, mid, hi, metric),
+            cfg)
+        assert np.array_equal(q, q_ref) and flags == flags_ref and flags
+
+    def test_scalar_split(self, series):
+        d = cm.split_dissimilarity(series, 0, 100, 250, "glr_gaussian")
+        assert d.shape == ()
+        assert d == split_every_window(series, 0, 100, 250, "glr_gaussian")

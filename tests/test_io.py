@@ -90,6 +90,16 @@ class TestJson:
         bio.save_partition_json(p, part)
         assert bio.load_partition_json(p) == part
 
+    @pytest.mark.parametrize("d,field", [
+        ({"block_sizes": [2, 3.7], "gamma": 1}, "block sizes"),
+        ({"block_sizes": [2, 3], "gamma": 1.5}, "gamma"),
+    ])
+    def test_partition_rejects_non_integers(self, tmp_path, d, field):
+        p = tmp_path / "p.json"
+        bio.save_json(p, d)
+        with pytest.raises(ValueError, match=field):
+            bio.load_partition_json(p)
+
     def test_json_roundtrip_sorted(self, tmp_path):
         p = tmp_path / "d.json"
         bio.save_json(p, {"b": 1, "a": [1, 2]})

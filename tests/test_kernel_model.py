@@ -47,6 +47,20 @@ class TestBlockPartition:
         p = km.BlockPartition((5, 2, 9), gamma=4)
         assert km.BlockPartition.from_json_dict(p.to_json_dict()) == p
 
+    @pytest.mark.parametrize("size", [3.7, 3.0, float("nan"), "3"])
+    def test_rejects_non_integer_block_size(self, size):
+        with pytest.raises(ValueError, match="block sizes"):
+            km.BlockPartition((2, size))
+
+    @pytest.mark.parametrize("d,field", [
+        ({"block_sizes": [2, 3.7], "gamma": 1}, "block sizes"),
+        ({"block_sizes": [2, 3], "gamma": 1.5}, "gamma"),
+    ])
+    def test_json_values_are_not_cast(self, d, field):
+        # int() once loaded {"block_sizes": [2, 3.7], "gamma": 1.5} as ((2, 3), 1)
+        with pytest.raises(ValueError, match=field):
+            km.BlockPartition.from_json_dict(d)
+
 
 class TestDppKernel:
     def test_array_protocol_shares_or_copies_L(self):

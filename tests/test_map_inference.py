@@ -9,7 +9,7 @@ from blockdpp import cpd_pipeline as cp
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
-from blockdpp.errors import SingularToTolerance
+from blockdpp.errors import NonFinite, SingularToTolerance
 
 
 def random_spd(n, seed, scale=2.0):
@@ -538,3 +538,70 @@ class TestLogProb:
         rhs = sum(mc.log_det(K[np.ix_(local, local)])
                   for K, local in seen if local.size)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
+
+    @settings(deadline=None, max_examples=60)
+    @given(N=st.integers(20, 200), low=st.integers(3, 20),
+           extra=st.integers(0, 40),
+           overlaps=st.sets(st.integers(0, 6), min_size=1),
+           seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 1.0),
+           pick_seed=st.integers(0, 2**31 - 1),
+           dead=st.sampled_from([None, "zero", "negative"]))
+    def test_matches_one_cholesky_oracle(self, N, low, extra, overlaps, seed,
+                                         frac, pick_seed, dead):
+        L, _ = synthetic(N=N, seed=seed, overlaps=tuple(sorted(overlaps)),
+                         blocks=(low, low + extra), d=N + 20)
+        rng = np.random.default_rng(pick_seed)
+        if dead is not None:
+            # an item whose pivot is exactly 0 or negative: a selection
+            # holding it is not positive definite on either side
+            j = int(rng.integers(N))
+            L[j, :] = L[:, j] = 0.0
+            L[j, j] = 0.0 if dead == "zero" else -1.0
+        sel = np.flatnonzero(rng.random(N) < frac)
+        ref = oracle.log_prob_unnormalized(L, sel)
+        got = mi.log_prob_unnormalized(L, sel)
+        assert (got == float("-inf")) == (ref == float("-inf"))
+        if ref != float("-inf"):
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    @staticmethod
+    def ten_blocks(seed=0):
+        """Block-diagonal 300 x 300 kernel of ten 30 x 30 SPD blocks."""
+        L = np.zeros((300, 300))
+        for b in range(10):
+            L[30 * b:30 * b + 30, 30 * b:30 * b + 30] = random_spd(30, seed + b)
+        return L
+
+    def test_factors_chunks_not_the_whole_selection(self, monkeypatch):
+        L = self.ten_blocks()
+        ref = oracle.log_prob_unnormalized(L, np.arange(300))
+        rows = []
+        cholesky = np.linalg.cholesky
+
+        def spy(M):
+            rows.append(M.shape[0])
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        got = mi.log_prob_unnormalized(L, np.arange(300))
+        assert sum(rows) == 300
+        assert max(rows) <= mi.LOGPROB_CHUNK + 30
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_off_chunk_nan_pair_raises(self):
+        L = self.ten_blocks()
+        L[5, 200] = L[200, 5] = np.nan
+        with pytest.raises(NonFinite):
+            mi.log_prob_unnormalized(L, np.arange(300))
+
+    def test_off_chunk_one_sided_entry_is_not_symmetric(self):
+        L = self.ten_blocks()
+        L[5, 200] = 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            mi.log_prob_unnormalized(L, np.arange(300))
+
+    def test_one_singular_chunk_gives_minus_inf(self):
+        L = self.ten_blocks()
+        L[120:150, 120:150] = 1.0   # rank one: its second pivot is exactly 0
+        assert mi.log_prob_unnormalized(L, np.arange(300)) == float("-inf")
+        assert np.isfinite(mi.log_prob_unnormalized(L, np.arange(120)))

@@ -20,6 +20,8 @@ times, as medians of REPEATS runs:
   conversion, so neither side pays for validation.
 
 The ratio of each pair is block-wise over full, at g = 0 and 6.
+``logprob_ms`` is the median time of ``log_prob_unnormalized(L, sel)`` on the
+g = 0 block-wise selection, validation included, as the ``checked`` calls are.
 
 Detection half (``detect_rows``).  For T = 2000, 20000 and 200000 at D = 1
 and 8, a piecewise-Gaussian series of DETECT_SEGMENT-long segments (seed
@@ -129,9 +131,12 @@ def sweep() -> list:
                         else:
                             fn = lambda: mi.blockwise_map(L, parts[g],
                                                           collect_trace=False)
-                        bw_ms, _ = median_ms(fn)
+                        bw_ms, (bw_sel, _) = median_ms(fn)
                         row[f"g{g}_{mode}_ms"] = bw_ms
                         row[f"g{g}_{mode}_ratio"] = bw_ms / full_ms
+                        if mode == "checked" and g == 0:
+                            row["logprob_ms"], _ = median_ms(
+                                lambda: mi.log_prob_unnormalized(L, bw_sel))
                 finally:
                     mc.as_matrix = check
             row["blocks"] = {f"g{g}": parts[g].m for g in GAMMAS}
