@@ -4,6 +4,7 @@ DPP-based change-point detection."""
 from .errors import NonFinite, SingularToTolerance
 from .kernel_model import (
     BlockPartition,
+    CandidateKernel,
     DppKernel,
     SyntheticKernelSpec,
     build_quality_diversity_kernel,

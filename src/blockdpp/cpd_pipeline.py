@@ -35,9 +35,9 @@ class DetectionConfig:
     event_step: float = 1.0       # profile grid step for event sequences
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
         # written so that NaN fails them
+        if not 2 <= self.window < np.inf:
+            raise ValueError("window must be at least 2 and finite")
         for name in ("sigma", "quality_gain", "event_step"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -142,14 +142,16 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
                      eps_zero: float = km.DEFAULT_EPS_ZERO):
     """Quality/position-diversity kernel over candidates plus its partition.
 
-    L = diag(q) S diag(q), scaled into S, is never factored: greedy pivots on
-    picks only (each above 1), and lambda_min(L) >= -delta * max q^2 (S's bound).
+    The kernel is a km.CandidateKernel: L = diag(q) S diag(q) held as the
+    times and qualities, read row by row, so detection builds no n x n array
+    and factors nothing: greedy pivots on picks only (each above 1), and
+    lambda_min(L) >= -delta * max q^2 (S's bound).  The partition's reach
+    comes from the times too.
     """
     if np.size(cand_times) != np.size(q) or np.size(q) == 0:
         raise ValueError("need matching, nonempty candidates and qualities")
-    S = km.gaussian_position_similarity(cand_times, sigma, eps_zero)
-    kern = km._scale_by_quality(q, S)
-    return kern, km.gamma_partition(kern.L, gamma, eps_zero)
+    kern = km.CandidateKernel(cand_times, q, sigma, eps_zero)
+    return kern, km.gamma_partition(kern, gamma, eps_zero)
 
 
 def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> DetectionReport:
@@ -228,6 +230,8 @@ def generate_piecewise_gaussian(seed: int, segments):
             C = float(C) * np.eye(D)
         if C.shape != (D, D):
             raise ValueError("covariance shape does not match mean dimension")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(C))):
+            raise ValueError("segment means and covariances must be finite")
         try:
             F = np.linalg.cholesky(C + 1e-12 * np.eye(D))
         except np.linalg.LinAlgError:
@@ -241,7 +245,7 @@ def generate_piecewise_gaussian(seed: int, segments):
 def generate_poisson_events(seed: int, segments):
     """Concatenated homogeneous Poisson segments; returns events and true changes.
 
-    segments: iterable of (duration, rate).
+    segments: iterable of (duration, rate), each positive and finite.
     """
     segs = list(segments)
     if not segs:
@@ -251,8 +255,10 @@ def generate_poisson_events(seed: int, segments):
     changes = []
     offset = 0.0
     for duration, rate in segs:
-        if duration <= 0 or rate <= 0:
-            raise ValueError("durations and rates must be positive")
+        # written so that NaN fails it: a NaN or infinite duration, or a NaN
+        # rate, would never end the loop below
+        if not (0 < duration < np.inf and 0 < rate < np.inf):
+            raise ValueError("durations and rates must be positive and finite")
         t = offset
         while True:
             t += rng.exponential(1.0 / rate)

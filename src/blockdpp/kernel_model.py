@@ -9,7 +9,9 @@ ground-truth partition for benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,6 +21,9 @@ from . import matrix_core as mc
 DEFAULT_EPS_ZERO = 1e-12
 # rows per panel of the reach scan; keeps its temporaries small
 REACH_TILE = 64
+# columns at the end of each row's window that CandidateKernel.prefix_reach
+# reads first
+REACH_EDGE = 8
 
 
 @dataclass(frozen=True)
@@ -137,22 +142,159 @@ def gaussian_position_similarity(times, sigma: float,
     positions cluster.  S is a PSD Gaussian kernel before it, and by Weyl it
     lowers lambda_min by at most delta = 2 eps_zero / (1 - exp(-2 r h / sigma^2)),
     r = sigma sqrt(ln(1/eps_zero)), h the least spacing: lambda_min(S) >= -delta.
+    S is the dense CandidateKernel of unit qualities, so its entries are that
+    kernel's formula.
     """
     t = np.asarray(times, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times contain non-finite values")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
-    check_eps_zero(eps_zero)
-    S = t[:, None] - t[None, :]
-    S *= S
-    S /= -(sigma * sigma)
-    np.exp(S, out=S)
-    S[S < eps_zero] = 0.0
-    np.fill_diagonal(S, 1.0)
-    return S
+    return np.asarray(CandidateKernel(t, np.ones(t.size), sigma, eps_zero))
+
+
+def _gaussian_entries(t_rows, q_rows, t_cols, q_cols, sigma: float,
+                      eps_zero: float, out=None) -> np.ndarray:
+    """The one formula of a CandidateKernel's entries, row form:
+    ((S(t_r - t_c), zeroed below eps_zero, 1 where r = c) * q_r) * q_c, in
+    one buffer (out, if given).  Row times and qualities broadcast against
+    column ones (a scalar for one row, a column vector for several).  Times
+    are strictly increasing, so t_r - t_c is 0 only on the diagonal, where
+    S is exp(-0) = 1 unless an eps_zero above 1 zeroed it."""
+    E = np.subtract(t_rows, t_cols, out=out)
+    E *= E
+    E /= -(sigma * sigma)
+    np.exp(E, out=E)
+    E[E < eps_zero] = 0.0
+    if eps_zero > 1.0:
+        E[t_rows == t_cols] = 1.0
+    E *= q_rows
+    E *= q_cols
+    return E
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateKernel:
+    """L = diag(q) S diag(q) over candidate times t, held as t and q alone.
+
+    S is gaussian_position_similarity's: S_ij = exp(-(t_i - t_j)^2 / sigma^2),
+    zeroed below eps_zero, S_ii = 1.  Times, qualities, sigma and eps_zero are
+    checked once, here; the kernel is immutable.  Every entry comes from
+    _gaussian_entries, so rows, blocks and the dense L (numpy reads the
+    kernel as L through __array__) agree to the bit.  Row j is nonzero only
+    in columns [lo_j, hi_j), the candidates within r = sigma sqrt(ln(1/eps_zero))
+    of t_j that np.searchsorted finds; r carries a slack that covers float
+    rounding, and eps_zero = 0 makes the window unbounded.
+
+    greedy_map and blockwise_map read it matrix-free: the diagonal, one row
+    per pick (k[j]), block(a, b), cross(rows, cols); gamma_partition reads
+    prefix_reach.  None of them builds the n x n L.
+    """
+
+    times: np.ndarray
+    quality: np.ndarray
+    sigma: float
+    eps_zero: float = DEFAULT_EPS_ZERO
+    _lo: np.ndarray = field(init=False, repr=False)
+    _hi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t = np.array(self.times, dtype=np.float64).ravel()
+        q = np.array(self.quality, dtype=np.float64).ravel()
+        if not np.isfinite(t).all():
+            raise ValueError("times contain non-finite values")
+        if (t[1:] <= t[:-1]).any():
+            raise ValueError("times must be strictly increasing")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
+        check_eps_zero(self.eps_zero)
+        if q.size != t.size:
+            raise ValueError("quality vector and times sizes differ")
+        if not ((q > 0.0) & (q < np.inf)).all():    # NaN fails both
+            raise ValueError("quality values must be positive and finite")
+        # S_ij >= eps_zero iff |t_i - t_j| <= r; the relative and absolute
+        # slack keep every entry that rounding lifts to eps_zero inside
+        sigma, eps_zero = float(self.sigma), float(self.eps_zero)
+        log_inv = max(-math.log(eps_zero), 0.0) if eps_zero > 0 else math.inf
+        r = sigma * math.sqrt(log_inv * (1.0 + 1e-6) + 1e-12)
+        self._set(t, q, sigma, eps_zero, np.searchsorted(t, t - r),
+                  np.searchsorted(t, t + r, side="right"))
+
+    def _set(self, t, q, sigma, eps_zero, lo, hi) -> "CandidateKernel":
+        for a in (t, q, lo, hi):
+            a.flags.writeable = False
+        for name, value in zip(("times", "quality", "sigma", "eps_zero", "_lo", "_hi"),
+                               (t, q, sigma, eps_zero, lo, hi)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def n(self) -> int:
+        return self.times.size
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return (self.n, self.n)
+
+    def diagonal(self) -> np.ndarray:
+        return self.quality * self.quality
+
+    def cross(self, rows, cols) -> np.ndarray:
+        """Dense L[rows][:, cols], rows and cols each an index array or a
+        slice; or, for a 2-D index array cols with a row per entry of rows,
+        the entries L[rows[i], cols[i, k]]."""
+        return _gaussian_entries(self.times[rows, None], self.quality[rows, None],
+                                 self.times[cols], self.quality[cols],
+                                 self.sigma, self.eps_zero)
+
+    def __getitem__(self, j) -> np.ndarray:
+        """Row j of L, computed over its window only."""
+        j = operator.index(j)
+        lo, hi = self._lo[j], self._hi[j]
+        row = np.zeros(self.n)
+        _gaussian_entries(self.times[j], self.quality[j], self.times[lo:hi],
+                          self.quality[lo:hi], self.sigma, self.eps_zero, row[lo:hi])
+        return row
+
+    def block(self, a: int, b: int) -> "CandidateKernel":
+        """The kernel over candidates a..b-1, that is L[a:b, a:b]; not re-checked."""
+        return object.__new__(CandidateKernel)._set(
+            self.times[a:b], self.quality[a:b], self.sigma, self.eps_zero,
+            np.maximum(self._lo[a:b] - a, 0), np.minimum(self._hi[a:b], b) - a)
+
+    def prefix_reach(self, eps_zero: float) -> np.ndarray:
+        """M[r] = max of reach[i] over i <= r, reach[i] the last column c >= i
+        with L_ic > eps_zero, or i.
+
+        L_ic is 0 right of row i's window, and S falls off fast at its end,
+        so each row's reach is sought first among the REACH_EDGE columns that
+        end its window, all rows in one pass.  A row with nothing above
+        eps_zero there (small qualities) is scanned further left, from the
+        running max on, since a reach below it cannot raise M; such rows go
+        REACH_TILE at a time, so no temporary exceeds REACH_TILE x n.
+        """
+        n = self.n
+        rows = np.arange(n)
+        edge = np.maximum(self._hi - REACH_EDGE, 0)
+        cols = np.minimum(edge[:, None] + np.arange(REACH_EDGE), n - 1)
+        nz = self.cross(slice(None), cols) > eps_zero
+        reach = np.maximum(np.where(nz, cols, -1).max(axis=1), rows)
+        M = np.maximum.accumulate(reach)
+        still_open = np.flatnonzero(~nz.any(axis=1) & (edge > rows + 1))
+        for i in range(0, still_open.size, REACH_TILE):
+            r = still_open[i:i + REACH_TILE]
+            c0 = np.maximum(np.where(r > 0, M[r - 1], -1) + 1, r + 1)
+            c1 = edge[r]
+            keep = c1 > c0
+            r, c0, c1 = r[keep], c0[keep], c1[keep]
+            if r.size:
+                cols = np.minimum(c0[:, None] + np.arange((c1 - c0).max()), c1[:, None] - 1)
+                nz = self.cross(r, cols) > eps_zero
+                reach[r] = np.maximum(reach[r], np.where(nz, cols, -1).max(axis=1))
+                M = np.maximum.accumulate(reach)
+        return M
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # the dense L, for tests and callers that want a matrix; always a
+        # new array, so any copy request is met
+        A = self.cross(slice(None), slice(None))
+        return A if dtype is None else A.astype(dtype, copy=False)
 
 
 def _reach(L: np.ndarray, eps_zero: float) -> np.ndarray:
@@ -174,7 +316,7 @@ def _reach(L: np.ndarray, eps_zero: float) -> np.ndarray:
     return reach
 
 
-def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
+def _invalid_cuts(L, gamma: int, eps_zero: float) -> np.ndarray:
     """Boolean mask over cut positions 0..n-1 (entry p marks the cut before
     row p; entry 0 is unused).
 
@@ -182,11 +324,15 @@ def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
     lies in the gamma x gamma corner r >= p - gamma, c < p + gamma.  With
     M the prefix max of _reach, p is invalid iff M[p-1] >= p + gamma (a row
     above the cut reaches too far right) or M[p-gamma-1] >= p (a row above
-    the corner crosses the cut).
+    the corner crosses the cut).  A CandidateKernel gives M from its times
+    (prefix_reach), an array from _reach's scan.
     """
     check_eps_zero(eps_zero)
     n = L.shape[0]
-    M = np.maximum.accumulate(_reach(L, eps_zero))
+    if isinstance(L, CandidateKernel):
+        M = L.prefix_reach(eps_zero)
+    else:
+        M = np.maximum.accumulate(_reach(L, eps_zero))
     p = np.arange(n)
     invalid = M[p - 1] >= p + gamma
     k = max(n - gamma - 1, 0)          # cuts p >= gamma + 1
@@ -195,13 +341,20 @@ def _invalid_cuts(L: np.ndarray, gamma: int, eps_zero: float) -> np.ndarray:
     return invalid
 
 
+def _as_kernel(L):
+    """A CandidateKernel as it is (no entry is read), anything else through
+    mc.as_square."""
+    return L if isinstance(L, CandidateKernel) else mc.as_square(L)
+
+
 def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockPartition:
     """Finest partition whose cross-cut nonzeros all fit in gamma x gamma corners.
 
     Cut validity is independent across cuts, so taking every valid cut
-    attains the maximum block count.
+    attains the maximum block count.  A CandidateKernel's reach comes from
+    its times (prefix_reach), with no n x n array.
     """
-    A = mc.as_square(L)
+    A = _as_kernel(L)
     _check_gamma(gamma)
     n = A.shape[0]
     # entry 0 of the mask is always False, so the bounds start at 0
@@ -212,7 +365,7 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
 def validate_partition(L, P: BlockPartition,
                        eps_zero: float = DEFAULT_EPS_ZERO) -> bool:
     """True iff every cut of P is valid at P.gamma."""
-    A = mc.as_square(L)
+    A = _as_kernel(L)
     if P.n != A.shape[0]:
         raise ValueError("partition size does not match kernel dimension")
     return not _invalid_cuts(A, P.gamma, eps_zero)[P.cuts()].any()
@@ -256,8 +409,10 @@ def generate_synthetic_kernel(spec: SyntheticKernelSpec):
         if g > 0:
             mask[c - g:c, c:c + g] = True
             mask[c:c + g, c - g:c] = True
-    L = np.where(mask, L, 0.0)
-    L = 0.5 * (L + L.T)
+    # in place where it can be: each N x N temporary is a fresh 8 N^2 bytes
+    L[~mask] = 0.0
+    L = L + L.T
+    L *= 0.5
     L = mc.psd_repair(L, eps=1e-8)
 
     gamma = max(overlaps) if overlaps else 0

@@ -49,9 +49,10 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
     row t of the Cholesky factor of the picks, extended over all N items,
     and d holds the conditional diagonal given the picks.  O(N k^2) time
-    and O(k N) memory for k picks.
+    and O(k N) memory for k picks.  A km.CandidateKernel is read as it is,
+    its diagonal and one computed row per pick, with no N x N array.
     """
-    A = mc.as_matrix(L)
+    A = L if isinstance(L, km.CandidateKernel) else mc.as_matrix(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
     # follow the first pick; C starts at 32 rows and doubles up to that bound
@@ -110,13 +111,18 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     which greedy_map and exhaustive_map do not scan again, so a block's
     symmetry tolerance scales with max(1, max |L|), not with its own
     entries.  A block is copied only when the Schur step writes to it;
-    otherwise f sees L's own block.  The trace records each block's span,
+    otherwise f sees L's own block.  A km.CandidateKernel is not scanned:
+    f gets its block(start, stop), cross entries are computed from the
+    times, and a block becomes a dense array only when the Schur step
+    writes to it, which entries in (0, eps_zero] can make happen even
+    across a gamma = 0 cut.  The trace records each block's span,
     its global picks and its time in ms, and keeps no matrix;
     collect_trace=False drops those records.  The picks are a strictly
     increasing int64 array; a sub-solver index out of range raises
     IndexError, a repeated one ValueError.
     """
-    A = mc.as_matrix(L)
+    matrix_free = isinstance(L, km.CandidateKernel)
+    A = L if matrix_free else mc.as_matrix(L)
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     trace = InferenceTrace()
@@ -126,9 +132,15 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     prev_reduced = None
     for start, stop in P.ranges():
         t0 = time.perf_counter()
-        block = reduced = A[start:stop, start:stop]
+        if matrix_free:
+            block = reduced = A.block(start, stop)
+        else:
+            block = reduced = A[start:stop, start:stop]
         if prev_sel.size:
-            cross = A[prev_sel, start:stop]
+            if matrix_free:
+                cross = A.cross(prev_sel, slice(start, stop))
+            else:
+                cross = A[prev_sel, start:stop]
             cols = np.flatnonzero(cross.any(axis=0))
             if cols.size:
                 c = int(cols[-1]) + 1
@@ -138,18 +150,22 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 # small a threaded BLAS trsm costs far more than the solve.
                 try:
                     F = np.linalg.cholesky(
-                        prev_reduced[prev_local[:, None], prev_local])
+                        prev_reduced.cross(prev_local, prev_local)
+                        if type(prev_reduced) is km.CandidateKernel
+                        else prev_reduced[prev_local[:, None], prev_local])
                 except np.linalg.LinAlgError:
                     raise SingularToTolerance(
                         f"selected reduced kernel of the block before [{start}, "
                         f"{stop}) is not positive definite") from None
                 X = np.linalg.solve(F, cross[:, :c])
+                if matrix_free:
+                    block = np.asarray(block)   # a new dense array to write to
                 S = block[:c, :c] - X.T @ X
-                reduced = block.copy()
+                reduced = block if matrix_free else block.copy()
                 reduced[:c, :c] = 0.5 * (S + S.T)
-        local = mc.as_index_set(
-            np.sort(np.asarray(f(mc._checked_view(reduced)), dtype=np.int64)),
-            stop - start)
+        local = mc.as_index_set(np.sort(np.asarray(f(
+            reduced if type(reduced) is km.CandidateKernel
+            else mc._checked_view(reduced)), dtype=np.int64)), stop - start)
         global_sel = local + start
         if collect_trace:
             trace.blocks.append(BlockTrace(

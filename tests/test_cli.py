@@ -62,6 +62,18 @@ class TestGen:
         assert np.all(np.diff(e) > 0)
         assert bio.load_json(tmp_path / "ev.truth.json")["changes"] == [50.0]
 
+    @pytest.mark.parametrize("segment", ['{"duration": NaN, "rate": 1.0}',
+                                         '{"duration": Infinity, "rate": 1.0}',
+                                         '{"duration": 50, "rate": NaN}'])
+    def test_poisson_rejects_non_finite_json_segments(self, tmp_path, segment,
+                                                      capsys):
+        # Python's json reads NaN and Infinity; each of these never returned
+        spec = tmp_path / "segs.json"
+        spec.write_text(f"[{segment}]")
+        assert run("gen", "--kind", "poisson", "--segments", str(spec),
+                   "-o", str(tmp_path / "ev.csv")) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_output_is_usage_error(self):
         assert run("gen", "--kind", "kernel") == 2
 

@@ -8,6 +8,7 @@ import loop_oracles as oracle
 from blockdpp import cpd_metrics as cm
 from blockdpp import cpd_pipeline as cp
 from blockdpp import kernel_model as km
+from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
 
 
@@ -60,6 +61,13 @@ class TestDetectionConfig:
         # gamma=2.0 used to fail with a TypeError from slicing, at detection
         with pytest.raises(ValueError, match="gamma"):
             cp.DetectionConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("window", [np.nan, np.inf])
+    def test_rejects_non_finite_window(self, window):
+        # both passed window < 2; detection then failed converting NaN to an
+        # integer, with an OverflowError, or in np.arange
+        with pytest.raises(ValueError, match="window"):
+            cp.DetectionConfig(window=window)
 
     def test_zero_eps_zero_is_valid(self):
         assert cp.DetectionConfig(eps_zero=0.0).eps_zero == 0.0
@@ -168,13 +176,13 @@ class TestCandidateQuality:
 class TestBuildCpdKernel:
     def test_single_candidate(self):
         kern, part = cp.build_cpd_kernel([10.0], [2.0], sigma=5.0)
-        assert kern.L.shape == (1, 1)
-        assert kern.L[0, 0] == pytest.approx(4.0)
+        assert kern.shape == (1, 1)
+        assert np.asarray(kern)[0, 0] == pytest.approx(4.0)
         assert part.block_sizes == (1,)
 
     def test_far_candidates_split_at_gamma0(self):
         kern, part = cp.build_cpd_kernel([0.0, 100.0], [1.5, 1.5], sigma=10.0)
-        assert kern.L[0, 1] == 0.0
+        assert np.asarray(kern)[0, 1] == 0.0
         assert part.block_sizes == (1, 1)
 
     def test_close_candidates_merge(self):
@@ -206,7 +214,7 @@ class TestBuildCpdKernel:
         np.fill_diagonal(S_ref, 1.0)
         L_ref = q[:, None] * S_ref * q[None, :]
         kern, part = cp.build_cpd_kernel(t, q, sigma, gamma, eps_zero)
-        assert np.array_equal(kern.L, L_ref)
+        assert np.array_equal(np.asarray(kern), L_ref)
         assert np.array_equal(kern.quality, q)
         assert part == km.gamma_partition(L_ref, gamma, eps_zero)
 
@@ -221,6 +229,70 @@ class TestBuildCpdKernel:
         t, q = self.candidates(50)
         kern, _ = cp.build_cpd_kernel(t, q, sigma=20.0, eps_zero=1e-4)
         assert kern.n == 50
+
+    @staticmethod
+    def run_stages(kern, part, require_initial_gain, seen=None):
+        """detection's inference stage on kern; seen records, per block,
+        whether its sub-solver got a CandidateKernel"""
+        def solver(K):
+            if seen is not None:
+                seen.append(isinstance(K, km.CandidateKernel))
+            return mi.greedy_map(K, require_initial_gain)
+        return mi.blockwise_map(kern, part, solver, collect_trace=False)[0]
+
+    @pytest.mark.parametrize("require_initial_gain", [False, True])
+    @pytest.mark.parametrize("gamma", [0, 3])
+    def test_schur_step_on_kernel_blocks_matches_the_dense_run(
+            self, require_initial_gain, gamma):
+        # qualities of 1e-6 keep the entries between the items at 6 and 7
+        # and their neighbours in (0, eps_zero]: the cuts around them stay
+        # valid, yet the picks at 0 and 1 condition the block at 6, which is
+        # densified for the Schur step
+        rng = np.random.default_rng(2)
+        t, q = [], []
+        for c in range(12):
+            t += (40.0 * c + np.array([0.0, 1.0, 6.0, 7.0, 14.0, 15.0])).tolist()
+            q += [3.0, 2.5, 1e-6, 1e-6, 2.0 + rng.uniform(), 2.0]
+        t, q = np.array(t), np.array(q)
+        kern, part = cp.build_cpd_kernel(t, q, 4.0, gamma, 1e-4)
+        L = np.asarray(kern)
+        assert part.m > 1 and part == km.gamma_partition(L, gamma, 1e-4)
+        seen = []
+        sel = self.run_stages(kern, part, require_initial_gain, seen)
+        assert False in seen[1:] and True in seen   # densified and not
+        assert np.array_equal(sel, self.run_stages(L, part, require_initial_gain))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tiny_qualities_match_the_dense_run(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.integers(1, 9, 200)).astype(np.float64)
+        q = np.where(rng.random(200) < 0.3, 10 ** rng.uniform(-8, -3, 200),
+                     rng.uniform(0.5, 3.0, 200))
+        for gamma, eps_zero in ((0, 1e-4), (2, 1e-3), (0, 1e-12)):
+            kern, part = cp.build_cpd_kernel(t, q, 3.0, gamma, eps_zero)
+            L = np.asarray(kern)
+            assert part == km.gamma_partition(L, gamma, eps_zero)
+            for flag in (False, True):
+                assert np.array_equal(self.run_stages(kern, part, flag),
+                                      self.run_stages(L, part, flag))
+
+    def test_kernel_and_inference_never_hold_an_n_by_n_array(self):
+        # about 4000 candidates in clusters far apart next to sigma: the
+        # dense build alone held n^2 float64 (128 MB)
+        rng = np.random.default_rng(3)
+        t = (np.repeat(np.arange(100) * 5000.0, 40)
+             + np.tile(np.arange(40) * 25.0, 100) + rng.uniform(0, 5, 4000))
+        q = rng.uniform(0.2, 3.0, t.size)
+        n = t.size
+        tracemalloc.start()
+        try:
+            kern, part = cp.build_cpd_kernel(t, q, sigma=200.0)
+            sel = self.run_stages(kern, part, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.m >= 100 and sel.size > 100
+        assert peak < n * n * 8 / 4, peak
 
     def test_peak_memory_is_one_kernel(self):
         n = 1500
@@ -273,6 +345,22 @@ class TestGenerators:
             cp.generate_poisson_events(0, [])
         with pytest.raises(ValueError):
             cp.generate_poisson_events(0, [(0.0, 1.0)])
+
+    @pytest.mark.parametrize("duration, rate", [
+        (np.nan, 1.0), (np.inf, 1.0), (10.0, np.nan), (10.0, np.inf)])
+    def test_poisson_rejects_non_finite_segments(self, duration, rate):
+        # each passed duration <= 0 or rate <= 0, and the draw loop then never
+        # ended while its event list grew
+        with pytest.raises(ValueError, match="finite"):
+            cp.generate_poisson_events(0, [(10.0, 1.0), (duration, rate)])
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.nan, 1.0), (0.0, np.nan), ([0.0, np.inf], np.eye(2)),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]])])
+    def test_gaussian_rejects_non_finite_segments(self, mean, cov):
+        # a NaN mean or covariance returned an all-NaN series
+        with pytest.raises(ValueError, match="finite"):
+            cp.generate_piecewise_gaussian(0, [(10, mean, cov)])
 
 
 class TestDetectChangePoints:

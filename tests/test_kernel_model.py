@@ -151,6 +151,124 @@ class TestGaussianSimilarity:
         assert np.linalg.eigvalsh(L)[0] >= -delta * q.max() ** 2 - 1e-12
 
 
+def dense_candidate_kernel(t, q, sigma, eps_zero):
+    """L = diag(q) S diag(q) built as gaussian_position_similarity and
+    build_cpd_kernel built it before the kernel went matrix-free."""
+    S = t[:, None] - t[None, :]
+    S *= S
+    S /= -(sigma * sigma)
+    np.exp(S, out=S)
+    S[S < eps_zero] = 0.0
+    np.fill_diagonal(S, 1.0)
+    S *= q[:, None]
+    S *= q
+    return S
+
+
+def candidates(n, seed, tiny=False):
+    """Strictly increasing times at spacings of 1 to 19, qualities U(0.2, 3)
+    or, with tiny, log-uniform over 1e-9 to 10."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.integers(1, 20, n)).astype(np.float64) - 500.0
+    q = 10 ** rng.uniform(-9, 1, n) if tiny else rng.uniform(0.2, 3.0, n)
+    return t, q
+
+
+class TestCandidateKernel:
+    @pytest.mark.parametrize("sigma", [0.5, 5.0, 50.0, 500.0])
+    @pytest.mark.parametrize("eps_zero", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 2.0])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_rows_blocks_and_array_equal_the_dense_build(self, sigma, eps_zero, tiny):
+        t, q = candidates(150, 3, tiny)
+        L = dense_candidate_kernel(t, q, sigma, eps_zero)
+        k = km.CandidateKernel(t, q, sigma, eps_zero)
+        assert k.shape == L.shape
+        assert np.array_equal(np.asarray(k), L)
+        assert np.array_equal(k.diagonal(), np.diagonal(L))
+        assert all(np.array_equal(k[j], L[j]) for j in range(t.size))
+        for a, b in ((0, 150), (0, 1), (37, 120), (149, 150)):
+            B = k.block(a, b)
+            assert np.array_equal(np.asarray(B), L[a:b, a:b])
+            assert all(np.array_equal(B[j], L[a + j, a:b]) for j in range(b - a))
+        rows = np.array([3, 40, 41, 130])
+        assert np.array_equal(k.cross(rows, slice(30, 90)), L[rows, 30:90])
+        assert np.array_equal(k.cross(rows, rows), L[np.ix_(rows, rows)])
+
+    @pytest.mark.parametrize("eps_zero", [0.0, 1e-12, 1e-4])
+    def test_similarity_is_the_unit_quality_kernel(self, eps_zero):
+        t, _ = candidates(80, 4)
+        S = km.gaussian_position_similarity(t, 20.0, eps_zero)
+        assert np.array_equal(S, dense_candidate_kernel(t, np.ones(80), 20.0, eps_zero))
+
+    @pytest.mark.parametrize("sigma", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("eps_zero", [0.0, 1e-12, 1e-4])
+    @pytest.mark.parametrize("tiny", [False, True])
+    @pytest.mark.parametrize("threshold", ["own", 0.0, 1e-6])
+    def test_prefix_reach_equals_the_dense_scan(self, sigma, eps_zero, tiny, threshold):
+        # tiny qualities leave rows with nothing above the threshold at the
+        # end of their window, which sends them past the edge columns
+        t, q = candidates(3 * km.REACH_TILE, 5, tiny)
+        L = dense_candidate_kernel(t, q, sigma, eps_zero)
+        e = eps_zero if threshold == "own" else threshold
+        k = km.CandidateKernel(t, q, sigma, eps_zero)
+        assert np.array_equal(k.prefix_reach(e), np.maximum.accumulate(km._reach(L, e)))
+        B = k.block(20, 150)
+        assert np.array_equal(B.prefix_reach(e),
+                              np.maximum.accumulate(km._reach(L[20:150, 20:150], e)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_gamma_partition_equals_the_dense_one(self, seed, tiny):
+        t, q = candidates(120, seed, tiny)
+        for sigma, eps_zero in ((2.0, 1e-12), (8.0, 1e-4), (30.0, 1e-2)):
+            k = km.CandidateKernel(t, q, sigma, eps_zero)
+            L = dense_candidate_kernel(t, q, sigma, eps_zero)
+            for gamma in range(7):
+                P = km.gamma_partition(k, gamma, eps_zero)
+                assert P == km.gamma_partition(L, gamma, eps_zero)
+                assert km.validate_partition(k, P, eps_zero)
+
+    def test_small_quality_cuts_where_the_similarity_does_not(self):
+        # S_01 = exp(-1) is far above eps_zero, but q_0 pushes L_01 under
+        # it, so the partition of L cuts where S alone would not
+        t, q = np.array([0.0, 10.0, 13.0]), np.array([1e-3, 1.0, 1.5])
+        k = km.CandidateKernel(t, q, 10.0, 1e-3)
+        L = np.asarray(k)
+        assert L[0, 1] <= 1e-3 < km.gaussian_position_similarity(t, 10.0, 1e-3)[0, 1]
+        for gamma in range(7):
+            assert km.gamma_partition(k, gamma, 1e-3) == km.gamma_partition(L, gamma, 1e-3)
+        assert km.gamma_partition(k, 0, 1e-3).block_sizes == (1, 2)
+
+    def test_zero_eps_zero_leaves_the_window_unbounded(self):
+        # exp(-(1000/50)^2) = exp(-400) is tiny but nonzero
+        k = km.CandidateKernel([0.0, 1000.0], [1.0, 1.0], 50.0, 0.0)
+        assert 0.0 < k[0][1] < 1e-170
+        assert km.gamma_partition(k, 0, 0.0).block_sizes == (2,)
+
+    def test_is_immutable_and_keeps_its_own_copy(self):
+        t, q = candidates(10, 0)
+        k = km.CandidateKernel(t, q, 5.0)
+        t[0] = -1e9
+        assert k.times[0] != -1e9
+        with pytest.raises(AttributeError):
+            k.sigma = 1.0
+        with pytest.raises(ValueError):
+            k.quality[0] = 2.0
+
+    @pytest.mark.parametrize("times, quality, sigma, eps_zero, match", [
+        ([0.0, np.nan], [1.0, 1.0], 1.0, 0.0, "non-finite"),
+        ([1.0, 1.0], [1.0, 1.0], 1.0, 0.0, "strictly increasing"),
+        ([0.0, 1.0], [1.0, 1.0], np.inf, 0.0, "sigma"),
+        ([0.0, 1.0], [1.0, 1.0], 1.0, np.nan, "eps_zero"),
+        ([0.0, 1.0], [1.0], 1.0, 0.0, "sizes differ"),
+        ([0.0, 1.0], [1.0, 0.0], 1.0, 0.0, "positive and finite"),
+        ([0.0, 1.0], [1.0, np.nan], 1.0, 0.0, "positive and finite"),
+    ])
+    def test_rejects_bad_input(self, times, quality, sigma, eps_zero, match):
+        with pytest.raises(ValueError, match=match):
+            km.CandidateKernel(times, quality, sigma, eps_zero)
+
+
 class TestQualityDiversityKernel:
     def test_construction(self):
         q = np.array([2.0, 3.0])

@@ -335,12 +335,13 @@ class TestBlockwiseMap:
         t = np.cumsum(np.random.default_rng(0).uniform(20.0, 36.0, 1500))
         q = np.random.default_rng(1).uniform(0.5, 3.0, t.size)
         kern, part = cp.build_cpd_kernel(t, q, sigma=200.0)
+        L = np.asarray(kern)
         assert part.m == 1
         peaks = {}
         for collect_trace in (False, True):
             tracemalloc.start()
             try:
-                sel, _ = mi.blockwise_map(kern.L, part,
+                sel, _ = mi.blockwise_map(L, part,
                                           collect_trace=collect_trace)
                 peaks[collect_trace] = tracemalloc.get_traced_memory()[1]
             finally:

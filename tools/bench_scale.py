@@ -26,8 +26,12 @@ g = 0 block-wise selection, validation included, as the ``checked`` calls are.
 Detection half (``detect_rows``).  For T = 2000, 20000 and 200000 at D = 1
 and 8, a piecewise-Gaussian series of DETECT_SEGMENT-long segments (seed
 DETECT_SEED: mean coordinates N(0, 2), covariances U(0.5, 2) * I) goes
-through ``detect_change_points`` with ``DetectionConfig(metric="glr_gaussian")``
-REPEATS times, in one fresh child process per point.  Each row records the
+through ``detect_change_points`` with ``DetectionConfig(metric="glr_gaussian")``;
+for T = EVENTS_T, a Poisson event stream of EVENTS_SEGMENT-long segments
+whose rates cycle through EVENTS_RATES in a seeded order (6644
+candidates, whose dense n x n kernel would take 0.35 GB) goes through
+``detect_change_points_events`` with EVENTS_CFG.  Each point runs REPEATS
+times, in one fresh child process per point.  Each row records the
 median of each stage's ``timings_ms`` and of the whole call, the candidate
 count, the picks (their count, a digest of the selected times, and F1 at
 the window's tolerance) and the child's peak RSS.
@@ -58,9 +62,14 @@ SIZES = (500, 2000, 5000)
 GAMMAS = (0, 6)
 REPEATS = 5
 SEED = 5000
-DETECT_POINTS = tuple((T, D) for T in (2000, 20000, 200000) for D in (1, 8))
 DETECT_SEGMENT = 250
 DETECT_SEED = 1
+EVENTS_T = 64000
+DETECT_POINTS = tuple(("series", T, D) for T in (2000, 20000, 200000)
+                      for D in (1, 8)) + (("events", EVENTS_T, 1),)
+EVENTS_SEGMENT = 200.0
+EVENTS_RATES = (1.0, 3.0, 8.0)
+EVENTS_CFG = dict(window=20, sigma=200.0, metric="glr_poisson")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -155,30 +164,45 @@ def peak_rss_mb() -> float:
     raise OSError("no VmHWM in /proc/self/status")
 
 
-def detect_point(src: str, T: int, D: int) -> dict:
-    """One detection point; run it in a fresh process, whose peak RSS it reports."""
-    sys.path.insert(0, src)
+def detect_input(kind: str, T: int, D: int):
+    """The data, true changes, config and detector of one detection point."""
     import numpy as np
     from blockdpp import cpd_pipeline as cpd
-    from blockdpp import evaluation as ev
 
     rng = np.random.default_rng(DETECT_SEED)
+    if kind == "events":
+        k = int(T // EVENTS_SEGMENT)
+        rates = rng.permutation(np.resize(np.asarray(EVENTS_RATES), k))
+        E, truth = cpd.generate_poisson_events(
+            DETECT_SEED, [(EVENTS_SEGMENT, float(r)) for r in rates])
+        return (E, truth, cpd.DetectionConfig(**EVENTS_CFG),
+                cpd.detect_change_points_events)
     k = T // DETECT_SEGMENT
     means = rng.normal(0.0, 2.0, (k, D))
     variances = rng.uniform(0.5, 2.0, k)
     X, truth = cpd.generate_piecewise_gaussian(
         DETECT_SEED, [(DETECT_SEGMENT, m, v) for m, v in zip(means, variances)])
-    cfg = cpd.DetectionConfig(metric="glr_gaussian")
-    cpd.detect_change_points(X[:2 * DETECT_SEGMENT], cfg)   # not timed: warm-up
+    return X, truth, cpd.DetectionConfig(metric="glr_gaussian"), cpd.detect_change_points
+
+
+def detect_point(src: str, kind: str, T: int, D: int) -> dict:
+    """One detection point; run it in a fresh process, whose peak RSS it reports."""
+    sys.path.insert(0, src)
+    import numpy as np
+    from blockdpp import evaluation as ev
+
+    X, truth, cfg, detect = detect_input(kind, T, D)
+    warm = X[X < 4 * EVENTS_SEGMENT] if kind == "events" else X[:2 * DETECT_SEGMENT]
+    detect(warm, cfg)   # not timed: warm-up
     stages, totals = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        rep = cpd.detect_change_points(X, cfg)
+        rep = detect(X, cfg)
         totals.append((time.perf_counter() - t0) * 1e3)
         stages.append(rep.timings_ms)
     score = ev.precision_recall_f1(ev.match_changes(rep.selected, truth, cfg.window))
     return {
-        "T": T, "D": D,
+        "kind": kind, "T": T, "D": D,
         "candidates": int(rep.candidates.times.size),
         "picks": int(rep.selected.size),
         "selected_sha256": hashlib.sha256(
@@ -192,9 +216,9 @@ def detect_point(src: str, T: int, D: int) -> dict:
 
 def detect_sweep(src: Path) -> list:
     rows = []
-    for T, D in DETECT_POINTS:
+    for kind, T, D in DETECT_POINTS:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
-            row = pool.apply(detect_point, (str(src), T, D))
+            row = pool.apply(detect_point, (str(src), kind, T, D))
         print(json.dumps(row), file=sys.stderr)
         rows.append(row)
     return rows
