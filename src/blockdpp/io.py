@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix_core as mc
-from .kernel_model import BlockPartition
+from .kernel_model import BlockPartition, DppKernel
 
 
-def load_matrix_csv(path) -> np.ndarray:
+def load_matrix_csv(path) -> DppKernel:
     """Square symmetric PSD matrix, one CSV row per matrix row, no header;
-    checked by matrix_core.as_psd."""
+    checked by matrix_core.as_psd and held as a DppKernel, not scanned again."""
     A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     try:
-        return mc.as_psd(A)
+        return DppKernel._wrap(mc.as_psd(A))
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

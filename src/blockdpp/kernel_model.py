@@ -65,16 +65,53 @@ class BlockPartition:
         return cls(tuple(d["block_sizes"]), d["gamma"])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DppKernel:
-    """PSD kernel matrix and optional quality factors; numpy reads it as L."""
+    """A dense kernel L, checked by mc.as_matrix once, here, then held as a
+    read-only view, with optional quality factors: the dense adapter of
+    CandidateKernel's interface (shape, diagonal(), row j as k[j], block,
+    cross, prefix_reach; numpy reads it as L).  _wrap holds an array of an
+    already-checked kernel (a block, a Schur-updated block) unscanned."""
 
     L: np.ndarray
     quality: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        self._hold(mc.as_matrix(self.L), self.quality)
+
+    @classmethod
+    def _wrap(cls, L: np.ndarray, quality=None) -> "DppKernel":
+        return object.__new__(cls)._hold(L, quality)
+
+    def _hold(self, L, quality) -> "DppKernel":
+        L = L.view()
+        L.flags.writeable = False
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "quality", quality)
+        return self
+
     @property
-    def n(self) -> int:
-        return self.L.shape[0]
+    def shape(self) -> Tuple[int, int]:
+        return self.L.shape
+
+    def diagonal(self) -> np.ndarray:
+        return self.L.diagonal()
+
+    def __getitem__(self, j) -> np.ndarray:
+        return self.L[j]
+
+    def block(self, a: int, b: int) -> "DppKernel":
+        """L[a:b, a:b] as a view, without quality; not scanned again."""
+        return DppKernel._wrap(self.L[a:b, a:b])
+
+    def cross(self, rows, cols) -> np.ndarray:
+        """L[rows][:, cols], rows and cols each an index array or a slice."""
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return self.L[rows, cols]
+        return self.L[np.ix_(rows, cols)]
+
+    def prefix_reach(self, eps_zero: float) -> np.ndarray:
+        return np.maximum.accumulate(_reach(self.L, eps_zero))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         # numpy 1 calls __array__() or __array__(dtype); numpy 2 adds copy
@@ -104,22 +141,21 @@ class SyntheticKernelSpec:
             raise ValueError("feature_dim must be positive")
 
 
-def _scale_by_quality(q, S: np.ndarray) -> DppKernel:
-    """DppKernel of L = diag(q) @ S @ diag(q), written over the float64 S."""
+def build_quality_diversity_kernel(q, S) -> DppKernel:
+    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
+    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor.
+    L is scaled into a copy of the checked S, then checked only for overflow."""
+    L = mc.as_psd(S).copy()
     q = np.asarray(q, dtype=np.float64).ravel()
-    if q.size != S.shape[0]:
+    if q.size != L.shape[0]:
         raise ValueError("quality vector and similarity matrix sizes differ")
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise ValueError("quality values must be positive and finite")
-    S *= q[:, None]
-    S *= q
-    return DppKernel(L=S, quality=q.copy())
-
-
-def build_quality_diversity_kernel(q, S) -> DppKernel:
-    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
-    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor."""
-    return _scale_by_quality(q, mc.as_psd(S).copy())
+    L *= q[:, None]
+    L *= q
+    if not np.isfinite(L).all():
+        raise ValueError("quality values overflow the kernel")
+    return DppKernel._wrap(L, q.copy())
 
 
 def check_eps_zero(eps_zero: float) -> None:
@@ -180,11 +216,8 @@ class CandidateKernel:
     kernel as L through __array__) agree to the bit.  Row j is nonzero only
     in columns [lo_j, hi_j), the candidates within r = sigma sqrt(ln(1/eps_zero))
     of t_j that np.searchsorted finds; r carries a slack that covers float
-    rounding, and eps_zero = 0 makes the window unbounded.
-
-    greedy_map and blockwise_map read it matrix-free: the diagonal, one row
-    per pick (k[j]), block(a, b), cross(rows, cols); gamma_partition reads
-    prefix_reach.  None of them builds the n x n L.
+    rounding, and eps_zero = 0 makes the window unbounded.  Inference and
+    partitions read it through the interface DppKernel shares, with no n x n L.
     """
 
     times: np.ndarray
@@ -225,12 +258,8 @@ class CandidateKernel:
         return self
 
     @property
-    def n(self) -> int:
-        return self.times.size
-
-    @property
     def shape(self) -> Tuple[int, int]:
-        return (self.n, self.n)
+        return (self.times.size, self.times.size)
 
     def diagonal(self) -> np.ndarray:
         return self.quality * self.quality
@@ -247,7 +276,7 @@ class CandidateKernel:
         """Row j of L, computed over its window only."""
         j = operator.index(j)
         lo, hi = self._lo[j], self._hi[j]
-        row = np.zeros(self.n)
+        row = np.zeros(self.times.size)
         _gaussian_entries(self.times[j], self.quality[j], self.times[lo:hi],
                           self.quality[lo:hi], self.sigma, self.eps_zero, row[lo:hi])
         return row
@@ -269,7 +298,7 @@ class CandidateKernel:
         running max on, since a reach below it cannot raise M; such rows go
         REACH_TILE at a time, so no temporary exceeds REACH_TILE x n.
         """
-        n = self.n
+        n = self.times.size
         rows = np.arange(n)
         edge = np.maximum(self._hi - REACH_EDGE, 0)
         cols = np.minimum(edge[:, None] + np.arange(REACH_EDGE), n - 1)
@@ -316,7 +345,7 @@ def _reach(L: np.ndarray, eps_zero: float) -> np.ndarray:
     return reach
 
 
-def _invalid_cuts(L, gamma: int, eps_zero: float) -> np.ndarray:
+def _invalid_cuts(A, gamma: int, eps_zero: float) -> np.ndarray:
     """Boolean mask over cut positions 0..n-1 (entry p marks the cut before
     row p; entry 0 is unused).
 
@@ -324,15 +353,11 @@ def _invalid_cuts(L, gamma: int, eps_zero: float) -> np.ndarray:
     lies in the gamma x gamma corner r >= p - gamma, c < p + gamma.  With
     M the prefix max of _reach, p is invalid iff M[p-1] >= p + gamma (a row
     above the cut reaches too far right) or M[p-gamma-1] >= p (a row above
-    the corner crosses the cut).  A CandidateKernel gives M from its times
-    (prefix_reach), an array from _reach's scan.
+    the corner crosses the cut).  A is a kernel: it gives M (prefix_reach).
     """
     check_eps_zero(eps_zero)
-    n = L.shape[0]
-    if isinstance(L, CandidateKernel):
-        M = L.prefix_reach(eps_zero)
-    else:
-        M = np.maximum.accumulate(_reach(L, eps_zero))
+    n = A.shape[0]
+    M = A.prefix_reach(eps_zero)
     p = np.arange(n)
     invalid = M[p - 1] >= p + gamma
     k = max(n - gamma - 1, 0)          # cuts p >= gamma + 1
@@ -341,10 +366,10 @@ def _invalid_cuts(L, gamma: int, eps_zero: float) -> np.ndarray:
     return invalid
 
 
-def _as_kernel(L):
-    """A CandidateKernel as it is (no entry is read), anything else through
-    mc.as_square."""
-    return L if isinstance(L, CandidateKernel) else mc.as_square(L)
+def as_kernel(L):
+    """L itself if it is a DppKernel or a CandidateKernel, else DppKernel(L=L),
+    whose construction is the one mc.as_matrix scan."""
+    return L if isinstance(L, (DppKernel, CandidateKernel)) else DppKernel(L=L)
 
 
 def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockPartition:
@@ -352,23 +377,25 @@ def gamma_partition(L, gamma: int, eps_zero: float = DEFAULT_EPS_ZERO) -> BlockP
 
     Cut validity is independent across cuts, so taking every valid cut
     attains the maximum block count.  A CandidateKernel's reach comes from
-    its times (prefix_reach), with no n x n array.
+    its times (prefix_reach), with no n x n array.  A raw array is read
+    through mc.as_square only: a symmetry scan would cost more than the reach.
     """
-    A = _as_kernel(L)
+    if not isinstance(L, (DppKernel, CandidateKernel)):
+        L = DppKernel._wrap(mc.as_square(L))
     _check_gamma(gamma)
-    n = A.shape[0]
+    n = L.shape[0]
     # entry 0 of the mask is always False, so the bounds start at 0
-    bounds = np.flatnonzero(~_invalid_cuts(A, gamma, eps_zero)).tolist() + [n]
+    bounds = np.flatnonzero(~_invalid_cuts(L, gamma, eps_zero)).tolist() + [n]
     return BlockPartition(tuple(np.diff(bounds).tolist()), gamma)
 
 
 def validate_partition(L, P: BlockPartition,
                        eps_zero: float = DEFAULT_EPS_ZERO) -> bool:
-    """True iff every cut of P is valid at P.gamma."""
-    A = _as_kernel(L)
-    if P.n != A.shape[0]:
+    """True iff every cut of P is valid at P.gamma: a cut of gamma_partition."""
+    Q = gamma_partition(L, P.gamma, eps_zero)
+    if P.n != Q.n:
         raise ValueError("partition size does not match kernel dimension")
-    return not _invalid_cuts(A, P.gamma, eps_zero)[P.cuts()].any()
+    return bool(np.isin(P.cuts(), Q.cuts()).all())
 
 
 def generate_synthetic_kernel(spec: SyntheticKernelSpec):
@@ -416,4 +443,5 @@ def generate_synthetic_kernel(spec: SyntheticKernelSpec):
     L = mc.psd_repair(L, eps=1e-8)
 
     gamma = max(overlaps) if overlaps else 0
-    return DppKernel(L=L), BlockPartition(tuple(sizes), gamma)
+    # psd_repair checked L: hold it as it is, with no second scan or copy
+    return DppKernel._wrap(L), BlockPartition(tuple(sizes), gamma)

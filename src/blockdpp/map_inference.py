@@ -34,7 +34,8 @@ EXHAUSTIVE_CHUNK = 4096
 # Least rows per Cholesky in log_prob_unnormalized: many tiny ones cost more
 LOGPROB_CHUNK = 64
 
-SubSolver = Callable[[np.ndarray], np.ndarray]
+# a block's kernel (DppKernel or CandidateKernel, read by np.asarray) -> picks
+SubSolver = Callable[[km.DppKernel], np.ndarray]
 
 
 def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
@@ -49,10 +50,10 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
     row t of the Cholesky factor of the picks, extended over all N items,
     and d holds the conditional diagonal given the picks.  O(N k^2) time
-    and O(k N) memory for k picks.  A km.CandidateKernel is read as it is,
-    its diagonal and one computed row per pick, with no N x N array.
+    and O(k N) memory for k picks.  L goes through km.as_kernel, and only
+    its diagonal and one row per pick are read (no N x N array is built).
     """
-    A = L if isinstance(L, km.CandidateKernel) else mc.as_matrix(L)
+    A = km.as_kernel(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
     # follow the first pick; C starts at 32 rows and doubles up to that bound
@@ -107,22 +108,18 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     (acceptance criterion 02 bounds them at -1e-8 times the largest
     diagonal entry of L).
 
-    L is checked once.  f gets each block as a read-only mc._checked_view,
-    which greedy_map and exhaustive_map do not scan again, so a block's
-    symmetry tolerance scales with max(1, max |L|), not with its own
-    entries.  A block is copied only when the Schur step writes to it;
-    otherwise f sees L's own block.  A km.CandidateKernel is not scanned:
-    f gets its block(start, stop), cross entries are computed from the
-    times, and a block becomes a dense array only when the Schur step
-    writes to it, which entries in (0, eps_zero] can make happen even
-    across a gamma = 0 cut.  The trace records each block's span,
-    its global picks and its time in ms, and keeps no matrix;
-    collect_trace=False drops those records.  The picks are a strictly
-    increasing int64 array; a sub-solver index out of range raises
-    IndexError, a repeated one ValueError.
+    L goes through km.as_kernel: a raw array is scanned once, a kernel not
+    at all, and f gets each block's kernel A.block(start, stop) unscanned,
+    so a block's symmetry tolerance scales with max(1, max |L|).  A block
+    is copied, into a km.DppKernel, only when the Schur step writes to it
+    (entries in (0, eps_zero] of a km.CandidateKernel can make that happen
+    even across a gamma = 0 cut).  The trace records each block's span, its
+    global picks and its time in ms, and keeps no matrix; collect_trace=False
+    drops those records.  The picks are a strictly increasing int64 array;
+    a sub-solver index out of range raises IndexError, a repeated one
+    ValueError.
     """
-    matrix_free = isinstance(L, km.CandidateKernel)
-    A = L if matrix_free else mc.as_matrix(L)
+    A = km.as_kernel(L)
     if P.n != A.shape[0]:
         raise ValueError("partition does not match kernel dimension")
     trace = InferenceTrace()
@@ -132,15 +129,9 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     prev_reduced = None
     for start, stop in P.ranges():
         t0 = time.perf_counter()
-        if matrix_free:
-            block = reduced = A.block(start, stop)
-        else:
-            block = reduced = A[start:stop, start:stop]
+        reduced = A.block(start, stop)
         if prev_sel.size:
-            if matrix_free:
-                cross = A.cross(prev_sel, slice(start, stop))
-            else:
-                cross = A[prev_sel, start:stop]
+            cross = A.cross(prev_sel, slice(start, stop))
             cols = np.flatnonzero(cross.any(axis=0))
             if cols.size:
                 c = int(cols[-1]) + 1
@@ -149,23 +140,18 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 # An LU solve in place of a triangular one: on systems this
                 # small a threaded BLAS trsm costs far more than the solve.
                 try:
-                    F = np.linalg.cholesky(
-                        prev_reduced.cross(prev_local, prev_local)
-                        if type(prev_reduced) is km.CandidateKernel
-                        else prev_reduced[prev_local[:, None], prev_local])
+                    F = np.linalg.cholesky(prev_reduced.cross(prev_local, prev_local))
                 except np.linalg.LinAlgError:
                     raise SingularToTolerance(
                         f"selected reduced kernel of the block before [{start}, "
                         f"{stop}) is not positive definite") from None
                 X = np.linalg.solve(F, cross[:, :c])
-                if matrix_free:
-                    block = np.asarray(block)   # a new dense array to write to
+                block = np.array(reduced)   # a new dense array to write to
                 S = block[:c, :c] - X.T @ X
-                reduced = block if matrix_free else block.copy()
-                reduced[:c, :c] = 0.5 * (S + S.T)
-        local = mc.as_index_set(np.sort(np.asarray(f(
-            reduced if type(reduced) is km.CandidateKernel
-            else mc._checked_view(reduced)), dtype=np.int64)), stop - start)
+                block[:c, :c] = 0.5 * (S + S.T)
+                reduced = km.DppKernel._wrap(block)
+        local = mc.as_index_set(np.sort(np.asarray(f(reduced), dtype=np.int64)),
+                                stop - start)
         global_sel = local + start
         if collect_trace:
             trace.blocks.append(BlockTrace(
@@ -180,12 +166,14 @@ def exhaustive_map(L) -> np.ndarray:
     """Exact MAP by enumeration of all subsets.
 
     Ties break to the smaller cardinality, then the lexicographically
-    smallest index list.  Refuses dimensions above EXHAUSTIVE_MAX_DIM.
+    smallest index list.  Refuses dimensions above EXHAUSTIVE_MAX_DIM
+    before it densifies L.
     """
-    A = mc.as_matrix(L)
-    n = A.shape[0]
+    kern = km.as_kernel(L)
+    n = kern.shape[0]
     if n > EXHAUSTIVE_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds exhaustive limit {EXHAUSTIVE_MAX_DIM}")
+    A = np.asarray(kern)
     best, best_det = np.empty(0, dtype=np.int64), 1.0  # the empty set, det 1
     for k in range(1, n + 1):
         subsets = combinations(range(n), k)   # lexicographic order
@@ -204,25 +192,28 @@ def exhaustive_map(L) -> np.ndarray:
 def log_prob_unnormalized(L, C) -> float:
     """log det of the selected submatrix; empty selection gives 0, singular -inf.
 
-    Only the k x k selection B is validated.  It is cut where no exact nonzero
-    crosses (gamma_partition's gamma=0 rule at eps_zero 0), the pieces merge
-    into chunks of at least LOGPROB_CHUNK rows, and each diagonal chunk gets
-    one LAPACK Cholesky, with no pivot tolerance.  This is exact: B is block
-    diagonal over the chunks, so it is positive definite iff every chunk is,
-    and its log det is their sum.  -inf means a chunk's factorisation failed.
+    Only the k x k selection B is read: a kernel's cross(idx, idx) as it is,
+    a raw array's A[np.ix_(idx, idx)] through one mc.as_matrix scan.  B is
+    cut where no exact nonzero crosses (gamma_partition's gamma=0 rule at
+    eps_zero 0), the pieces merge into chunks of at least LOGPROB_CHUNK rows,
+    and each diagonal chunk gets one LAPACK Cholesky, with no pivot
+    tolerance.  Exact, as B is block diagonal over the chunks: it is positive
+    definite iff every chunk is (else -inf), and its log det is their sum.
     """
-    A = mc.as_square(L)
+    kernel = isinstance(L, (km.DppKernel, km.CandidateKernel))
+    A = L if kernel else mc.as_square(L)
     idx = mc.as_index_set(C, A.shape[0])
     if idx.size == 0:
         return 0.0
-    B = mc.as_matrix(A[np.ix_(idx, idx)])
+    B = (km.DppKernel._wrap(A.cross(idx, idx)) if kernel
+         else km.DppKernel(L=A[np.ix_(idx, idx)]))
     k, start, pivots = idx.size, 0, []
     # entry 0 of the cut mask is always False, so skip it
     for stop in np.flatnonzero(~km._invalid_cuts(B, 0, 0.0))[1:].tolist() + [k]:
         if stop - start < LOGPROB_CHUNK and stop < k:
             continue
         try:
-            F = np.linalg.cholesky(B[start:stop, start:stop])
+            F = np.linalg.cholesky(B.L[start:stop, start:stop])
         except np.linalg.LinAlgError:
             return float("-inf")
         pivots.append(np.diagonal(F))

@@ -29,24 +29,6 @@ SYMMETRY_TOL = 1e-9
 SYMMETRY_TILE = 128
 
 
-class _CheckedBlock(np.ndarray):
-    # slices, copies and arithmetic results keep the type but not the mark
-    _trusted = False
-
-
-def _checked_view(A: np.ndarray) -> np.ndarray:
-    """Read-only view of A that as_matrix returns without a scan.
-
-    A must be a finite, symmetric float64 matrix derived from one that
-    as_matrix accepted (blockwise_map's blocks).  Nothing else makes a
-    _CheckedBlock.
-    """
-    V = A.view(_CheckedBlock)
-    V.flags.writeable = False
-    V._trusted = True
-    return V
-
-
 def _asymmetry(A: np.ndarray) -> float:
     """max |A_ij - A_ji| over square tile pairs A[I, J], A[J, I].T, i <= j.
 
@@ -79,11 +61,8 @@ def as_matrix(M) -> np.ndarray:
     One scan over square tile pairs, with no N x N temporary, finds
     max |A_ij - A_ji|, which is NaN or infinite when some entry is.  The
     tolerance scales with max(1, max |A_ij|), taken only when that
-    asymmetry exceeds SYMMETRY_TOL.  A view made by _checked_view comes
-    back as a plain read-only array, unscanned.
+    asymmetry exceeds SYMMETRY_TOL.
     """
-    if type(M) is _CheckedBlock and M._trusted and not M.flags.writeable:
-        return M.view(np.ndarray)
     A = as_square(M)
     asym = _asymmetry(A)
     if not math.isfinite(asym) and not np.isfinite(A).all():

@@ -220,7 +220,7 @@ def recording(seen, f=mi.greedy_map):
     block's sorted local picks) to seen."""
     def solve(K):
         picks = f(K)
-        seen.append((K.copy(), np.sort(np.asarray(picks, dtype=np.int64))))
+        seen.append((np.array(K), np.sort(np.asarray(picks, dtype=np.int64))))
         return picks
     return solve
 

@@ -6,6 +6,7 @@ import pytest
 
 from blockdpp import cli
 from blockdpp import io as bio
+from blockdpp import matrix_core as mc
 from blockdpp.cpd_pipeline import (DetectionConfig, generate_piecewise_gaussian,
                                    generate_poisson_events)
 
@@ -133,6 +134,25 @@ class TestMap:
         assert run("gen", "--kind", "kernel", "-o", str(kf)) == 0
         assert run("map", "--kernel", str(kf), "-o",
                    str(tmp_path / "x.json")) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "full"), ("--mode", "blockwise", "--gamma", "2"),
+        ("--mode", "full", "--oracle"),
+        ("--mode", "blockwise", "--gamma", "2", "--oracle")])
+    def test_kernel_scanned_once(self, argv, tmp_path, monkeypatch):
+        # load_matrix_csv's as_psd is the one scan; inference, partition,
+        # log-det and oracle all read the kernel it returns
+        kf = tmp_path / "k.csv"
+        assert run("gen", "--kind", "kernel", "--n", "16", "--block-min", "4",
+                   "--block-max", "6", "--overlaps", "0,2", "--feature-dim",
+                   "20", "-o", str(kf)) == 0
+        scanned = []
+        scan = mc._asymmetry
+        monkeypatch.setattr(mc, "_asymmetry",
+                            lambda A: scanned.append(A.shape) or scan(A))
+        assert run("map", "--kernel", str(kf), *argv,
+                   "-o", str(tmp_path / "x.json")) == 0
+        assert scanned == [(16, 16)]
 
     def test_oracle_too_large(self, kernel_file, tmp_path):
         assert run("map", "--kernel", str(kernel_file), "--oracle",

@@ -228,7 +228,7 @@ class TestBuildCpdKernel:
         monkeypatch.setattr(np.linalg, "cholesky", factor)
         t, q = self.candidates(50)
         kern, _ = cp.build_cpd_kernel(t, q, sigma=20.0, eps_zero=1e-4)
-        assert kern.n == 50
+        assert kern.shape == (50, 50)
 
     @staticmethod
     def run_stages(kern, part, require_initial_gain, seen=None):

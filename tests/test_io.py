@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockdpp import io as bio
-from blockdpp.kernel_model import BlockPartition
+from blockdpp import matrix_core as mc
+from blockdpp.kernel_model import BlockPartition, DppKernel
 
 
 class TestMatrixCsv:
@@ -11,6 +12,17 @@ class TestMatrixCsv:
         p = tmp_path / "m.csv"
         bio.save_csv(p, A)
         assert np.array_equal(bio.load_matrix_csv(p), A)
+
+    def test_returns_a_kernel_scanned_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        bio.save_csv(p, np.array([[2.0, 0.5], [0.5, 1.0]]))
+        scanned = []
+        scan = mc._asymmetry
+        monkeypatch.setattr(mc, "_asymmetry",
+                            lambda A: scanned.append(A.shape) or scan(A))
+        kern = bio.load_matrix_csv(p)
+        assert type(kern) is DppKernel and not kern.L.flags.writeable
+        assert scanned == [(2, 2)]
 
     def test_rejects_non_square(self, tmp_path):
         p = tmp_path / "m.csv"

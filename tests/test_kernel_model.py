@@ -81,6 +81,52 @@ class TestDppKernel:
         B = kern.__array__(None, True)
         assert np.array_equal(B, kern.L) and not np.shares_memory(B, kern.L)
 
+    def test_L_is_a_read_only_view(self):
+        A = block_diag_kernel()
+        kern = km.DppKernel(L=A)
+        assert np.shares_memory(kern.L, A) and A.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kern.L[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(kern)[0, 0] = 1.0
+
+    def test_non_symmetric_L_raises_at_construction(self):
+        A = block_diag_kernel()
+        A[0, 1] += 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            km.DppKernel(L=A)
+        with pytest.raises(ValueError, match="non-finite"):
+            km.DppKernel(L=[[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_block_is_not_scanned_again(self, monkeypatch):
+        kern = km.DppKernel(L=block_diag_kernel())
+        monkeypatch.setattr(mc, "_asymmetry", None)   # any scan would fail
+        B = kern.block(3, 7)
+        assert km.as_kernel(B) is B and km.as_kernel(kern) is kern
+        assert np.shares_memory(B.L, kern.L) and not B.L.flags.writeable
+        assert np.array_equal(B.L, kern.L[3:, 3:])
+
+    def test_copy_of_a_block_is_scanned(self):
+        # a sub-solver that copies its block gets a raw array, which the
+        # next public call checks
+        S = np.array(km.DppKernel(L=block_diag_kernel()).block(0, 5))
+        assert S.flags.writeable
+        S[0, 1] += 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            km.as_kernel(S)
+
+    def test_entries_read_like_the_matrix(self):
+        A = block_diag_kernel()
+        kern = km.DppKernel(L=A)
+        rows, cols = np.array([1, 4]), np.array([0, 2, 6])
+        assert kern.shape == A.shape
+        assert np.array_equal(kern.diagonal(), np.diagonal(A))
+        assert np.array_equal(kern[4], A[4])
+        assert np.array_equal(kern.cross(rows, cols), A[np.ix_(rows, cols)])
+        assert np.array_equal(kern.cross(rows, slice(2, 6)), A[rows, 2:6])
+        assert np.array_equal(kern.prefix_reach(km.DEFAULT_EPS_ZERO),
+                              np.maximum.accumulate(km._reach(A, km.DEFAULT_EPS_ZERO)))
+
 
 class TestGaussianSimilarity:
     def test_values_and_truncation(self):
@@ -146,7 +192,7 @@ class TestGaussianSimilarity:
             r = sigma * np.sqrt(np.log(1.0 / eps_zero))
             delta = 2.0 * eps_zero / (1.0 - np.exp(-2.0 * r * h / sigma**2))
         S = km.gaussian_position_similarity(t, sigma, eps_zero)
-        L = km._scale_by_quality(q, S.copy()).L
+        L = np.asarray(km.CandidateKernel(t, q, sigma, eps_zero))
         assert np.linalg.eigvalsh(S)[0] >= -delta - 1e-12
         assert np.linalg.eigvalsh(L)[0] >= -delta * q.max() ** 2 - 1e-12
 
@@ -293,6 +339,11 @@ class TestQualityDiversityKernel:
         with pytest.raises(ValueError):
             km.build_quality_diversity_kernel([1.0], np.eye(2))
 
+    def test_rejects_overflowing_quality(self):
+        # L is held without a second scan, so inf must not get into it
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            km.build_quality_diversity_kernel([1e200, 1.0], np.eye(2))
+
     def test_rejects_indefinite_similarity(self):
         S = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError):
@@ -303,7 +354,7 @@ class TestQualityDiversityKernel:
         off = 1.0 - lam_min    # eigenvalues 2 - lam_min and lam_min
         S = np.array([[1.0, off], [off, 1.0]])
         if ok:
-            assert km.build_quality_diversity_kernel([1.0, 2.0], S).n == 2
+            assert km.build_quality_diversity_kernel([1.0, 2.0], S).shape == (2, 2)
         else:
             with pytest.raises(ValueError, match="not positive semidefinite"):
                 km.build_quality_diversity_kernel([1.0, 2.0], S)
@@ -427,7 +478,7 @@ class TestGammaPartition:
         assert np.array_equal(km._reach(L, km.DEFAULT_EPS_ZERO), reach)
         for gamma in (0, 3):
             assert np.array_equal(
-                km._invalid_cuts(L, gamma, km.DEFAULT_EPS_ZERO),
+                km._invalid_cuts(km.DppKernel(L=L), gamma, km.DEFAULT_EPS_ZERO),
                 oracle.invalid_cuts(L, gamma))
 
     # N up to past two reach panels, so that panel edges are drawn too
@@ -447,13 +498,14 @@ class TestGammaPartition:
         kern, _ = km.generate_synthetic_kernel(km.SyntheticKernelSpec(
             N=max(N, low), block_size_range=(low, low + extra),
             overlap_choices=tuple(sorted(overlaps)), feature_dim=8, seed=seed))
-        L = kern.L
+        L = np.array(kern.L)   # the kernel's L is read-only
         n = L.shape[0]
         for i, j in far:
             L[i % n, j % n] = L[j % n, i % n] = 1.0
         for i in zero_rows:
             L[i % n] = L[:, i % n] = 0.0
-        assert np.array_equal(km._invalid_cuts(L, gamma, km.DEFAULT_EPS_ZERO),
+        assert np.array_equal(km._invalid_cuts(km.DppKernel(L=L), gamma,
+                                               km.DEFAULT_EPS_ZERO),
                               oracle.invalid_cuts(L, gamma))
 
 

@@ -97,6 +97,7 @@ def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed):
     ties), extended by isolated items and symmetrically permuted."""
     L, _ = synthetic(N=N, seed=seed, overlaps=(0, 2, 4), blocks=(5, 15),
                      d=N + 10)
+    L = np.array(L)   # the kernel's L is read-only
     if sparse:
         L = L / np.quantile(np.diagonal(L), 0.9)
     if tiny:
@@ -287,7 +288,7 @@ class TestBlockwiseMap:
                             lambda A: scanned.append(A.shape) or scan(A))
 
         def solve(K):
-            writeable.append(K.flags.writeable)
+            writeable.append(np.asarray(K).flags.writeable)
             return mi.greedy_map(K)
 
         sel, _ = mi.blockwise_map(L, part, solve, collect_trace)
@@ -301,7 +302,7 @@ class TestBlockwiseMap:
         before = L.copy()
 
         def overwrite(K):
-            K[0, 0] = 0.0
+            np.asarray(K)[0, 0] = 0.0
             return mi.greedy_map(K)
 
         with pytest.raises(ValueError, match="read-only"):
@@ -313,7 +314,7 @@ class TestBlockwiseMap:
         L, part = synthetic(seed=6)
 
         def skew(K):
-            B = K.copy()
+            B = np.array(K)
             B[0, 1] += 1.0
             return mi.greedy_map(B)
 
@@ -466,6 +467,19 @@ class TestExhaustiveMap:
         with pytest.raises(ValueError):
             mi.exhaustive_map(np.eye(21))
 
+    def test_size_checked_before_any_entry_is_read(self):
+        # refusing a 3000-item CandidateKernel once built its 72 MB dense L
+        t = np.arange(3000.0)
+        kern = km.CandidateKernel(t, np.full(t.size, 2.0), 200.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exhaustive limit"):
+                mi.exhaustive_map(kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
     def test_beats_or_ties_greedy(self):
         for seed in range(50):
             L = random_spd(8, seed)
@@ -474,21 +488,74 @@ class TestExhaustiveMap:
             assert pg <= po + 1e-9
 
 
-class TestDppKernelEntry:
-    """Each entry point gives the same result for a DppKernel and its L."""
+def candidate_kernel_14():
+    """A 14-item CandidateKernel in three blocks at gamma 0; at gamma 3 its
+    partition has eight blocks and block-wise MAP takes Schur steps."""
+    rng = np.random.default_rng(8)
+    t = np.cumsum(rng.choice([1.0, 2.0, 3.0, 6.0], 14, p=[.3, .3, .25, .15]))
+    return km.CandidateKernel(t, rng.uniform(1.0, 2.5, 14), 1.0)
 
-    @pytest.mark.parametrize("run", [
-        mi.greedy_map,
-        lambda L: mi.blockwise_map(L, km.gamma_partition(L, 2))[0],
-        lambda L: mi.blockwise_map(L, km.BlockPartition((7, 7), 0),
-                                   collect_trace=False)[0],
-        mi.exhaustive_map,
-        lambda L: mi.log_prob_unnormalized(L, [1, 4, 9]),
-    ], ids=["greedy", "blockwise", "blockwise_untraced", "exhaustive",
-            "log_prob"])
-    def test_kernel_and_its_matrix_agree(self, run):
-        kern = km.DppKernel(L=random_spd(14, 3, scale=3.0))
-        assert np.array_equal(run(kern), run(kern.L))
+
+# the public calls that read a kernel, each with what it returns as an array
+KERNEL_CALLS = {
+    "greedy": mi.greedy_map,
+    "blockwise_g0": lambda L: mi.blockwise_map(L, km.gamma_partition(L, 0))[0],
+    "blockwise_g3": lambda L: mi.blockwise_map(L, km.gamma_partition(L, 3))[0],
+    "blockwise_untraced": lambda L: mi.blockwise_map(
+        L, km.BlockPartition((7, 7), 0), collect_trace=False)[0],
+    "exhaustive": mi.exhaustive_map,
+    "log_prob": lambda L: mi.log_prob_unnormalized(L, [1, 4, 9, 10]),
+    "gamma_partition": lambda L: km.gamma_partition(L, 3).block_sizes,
+}
+
+
+class TestDppKernelEntry:
+    """Each entry point gives the same result for a kernel (DppKernel or
+    CandidateKernel) and for its dense matrix as a raw array."""
+
+    @pytest.mark.parametrize("run", KERNEL_CALLS.values(), ids=KERNEL_CALLS)
+    @pytest.mark.parametrize("make", [
+        lambda: km.DppKernel(L=random_spd(14, 3, scale=3.0)),
+        candidate_kernel_14,
+    ], ids=["dense", "candidate"])
+    def test_kernel_and_its_matrix_agree(self, run, make):
+        kern = make()
+        assert np.array_equal(run(kern), run(np.asarray(kern)))
+
+    def test_candidate_case_takes_schur_steps(self):
+        kern = candidate_kernel_14()
+        L = np.asarray(kern)
+        assert km.gamma_partition(kern, 0).m == 3
+        part = km.gamma_partition(kern, 3)
+        seen = []
+        mi.blockwise_map(kern, part, oracle.recording(seen))
+        assert any(not np.array_equal(K, L[a:b, a:b])
+                   for (K, _), (a, b) in zip(seen, part.ranges()))
+
+    # scans of a raw array per call: greedy, block-wise and exhaustive check
+    # the kernel once, log_prob only its selection, the partition none
+    RAW_SCANS = {"greedy": 1, "blockwise_g0": 1, "blockwise_g3": 1,
+                 "blockwise_untraced": 1, "exhaustive": 1, "log_prob": 1,
+                 "gamma_partition": 0}
+
+    @pytest.mark.parametrize("name", KERNEL_CALLS)
+    def test_raw_array_scanned_once_a_kernel_never(self, name, monkeypatch):
+        cand = candidate_kernel_14()
+        L = np.asarray(cand)
+        dense = km.DppKernel(L=L)
+        scanned = []
+        scan = mc._asymmetry
+        monkeypatch.setattr(mc, "_asymmetry",
+                            lambda A: scanned.append(A.shape) or scan(A))
+        for kern in (cand, dense):
+            KERNEL_CALLS[name](kern)
+        assert scanned == []
+        KERNEL_CALLS[name](L)
+        assert len(scanned) == self.RAW_SCANS[name]
+        if name == "log_prob":
+            assert scanned == [(4, 4)]
+        elif scanned:
+            assert scanned == [L.shape]
 
 
 class TestLogProb:
@@ -512,6 +579,22 @@ class TestLogProb:
         assert sel.tolist() == [0, 1]
         assert mi.log_prob_unnormalized(L, sel) == pytest.approx(
             np.log(1e-10), rel=1e-12)
+
+    def test_candidate_kernel_scored_without_its_dense_matrix(self):
+        # n = 2000: the dense L is 32 MB, the selection about 0.8 MB
+        t = np.cumsum(np.random.default_rng(0).uniform(20.0, 36.0, 2000))
+        q = np.random.default_rng(1).uniform(0.5, 3.0, t.size)
+        kern = km.CandidateKernel(t, q, 200.0)
+        sel = mi.greedy_map(kern)
+        tracemalloc.start()
+        try:
+            got = mi.log_prob_unnormalized(kern, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.size > 100
+        assert peak < t.size ** 2 * 8 / 4, peak
+        assert got == mi.log_prob_unnormalized(np.asarray(kern), sel)
 
     def test_singular_selection(self):
         v = np.array([1.0, 2.0])
@@ -551,6 +634,7 @@ class TestLogProb:
                                          frac, pick_seed, dead):
         L, _ = synthetic(N=N, seed=seed, overlaps=tuple(sorted(overlaps)),
                          blocks=(low, low + extra), d=N + 20)
+        L = np.array(L)   # the kernel's L is read-only
         rng = np.random.default_rng(pick_seed)
         if dead is not None:
             # an item whose pivot is exactly 0 or negative: a selection

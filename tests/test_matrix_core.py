@@ -80,29 +80,6 @@ class TestAsSquare:
             mc.as_square(np.ones(shape))
 
 
-class TestCheckedView:
-    def test_returned_plain_and_read_only_without_a_scan(self, monkeypatch):
-        A = random_spd(6, 0)
-        V = mc._checked_view(A)
-        monkeypatch.setattr(mc, "_asymmetry", None)   # any scan would fail
-        B = mc.as_matrix(V)
-        assert type(B) is np.ndarray and not B.flags.writeable
-        assert np.shares_memory(B, A) and np.array_equal(B, A)
-        with pytest.raises(ValueError, match="read-only"):
-            V[0, 0] = 1.0
-
-    def test_slices_and_copies_are_scanned(self):
-        V = mc._checked_view(random_spd(6, 1))
-        S = V[:3, 1:4]               # read-only like V, but not symmetric
-        assert not S.flags.writeable
-        with pytest.raises(ValueError, match="not symmetric"):
-            mc.as_matrix(S)
-        for B in (V.copy(), V + 0.0):
-            B[0, 1] += 1.0
-            with pytest.raises(ValueError, match="not symmetric"):
-                mc.as_matrix(B)
-
-
 class TestIndexSets:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):

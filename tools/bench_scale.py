@@ -15,9 +15,9 @@ times, as medians of REPEATS runs:
 - ``checked``: the calls a user makes on a raw array, validation included:
   ``greedy_map(L)`` against ``gamma_partition(L, g)`` plus
   ``blockwise_map(L, P, collect_trace=False)``;
-- ``inference``: the same two inference calls with the partition made
-  beforehand and ``matrix_core.as_matrix`` swapped for a plain float64
-  conversion, so neither side pays for validation.
+- ``inference``: the same two inference calls on a ``kernel_model.DppKernel``
+  built once, before the timed calls, with the partition made beforehand,
+  so neither side pays for validation.
 
 The ratio of each pair is block-wise over full, at g = 0 and 6.
 ``logprob_ms`` is the median time of ``log_prob_unnormalized(L, sel)`` on the
@@ -110,7 +110,6 @@ def sweep() -> list:
     import numpy as np
     from blockdpp import kernel_model as km
     from blockdpp import map_inference as mi
-    from blockdpp import matrix_core as mc
 
     # first calls into numpy and LAPACK pay one-off costs: not timed
     warm = km.generate_synthetic_kernel(replace(km.SyntheticKernelSpec(), N=100))[0].L
@@ -125,29 +124,25 @@ def sweep() -> list:
             L = base if kind == "default" else base / np.quantile(np.diagonal(base), 0.9)
             parts = {g: km.gamma_partition(L, g) for g in GAMMAS}
             row = {"N": n, "kernel": kind}
+            kern = km.DppKernel(L)
             for mode in ("checked", "inference"):
-                check = mc.as_matrix
-                if mode == "inference":
-                    mc.as_matrix = lambda M: np.asarray(M, dtype=np.float64)
-                try:
-                    full_ms, sel = median_ms(lambda: mi.greedy_map(L))
-                    row["picks"] = int(sel.size)
-                    row[f"full_{mode}_ms"] = full_ms
-                    for g in GAMMAS:
-                        if mode == "checked":
-                            fn = lambda: mi.blockwise_map(
-                                L, km.gamma_partition(L, g), collect_trace=False)
-                        else:
-                            fn = lambda: mi.blockwise_map(L, parts[g],
-                                                          collect_trace=False)
-                        bw_ms, (bw_sel, _) = median_ms(fn)
-                        row[f"g{g}_{mode}_ms"] = bw_ms
-                        row[f"g{g}_{mode}_ratio"] = bw_ms / full_ms
-                        if mode == "checked" and g == 0:
-                            row["logprob_ms"], _ = median_ms(
-                                lambda: mi.log_prob_unnormalized(L, bw_sel))
-                finally:
-                    mc.as_matrix = check
+                K = L if mode == "checked" else kern
+                full_ms, sel = median_ms(lambda: mi.greedy_map(K))
+                row["picks"] = int(sel.size)
+                row[f"full_{mode}_ms"] = full_ms
+                for g in GAMMAS:
+                    if mode == "checked":
+                        fn = lambda: mi.blockwise_map(
+                            L, km.gamma_partition(L, g), collect_trace=False)
+                    else:
+                        fn = lambda: mi.blockwise_map(kern, parts[g],
+                                                      collect_trace=False)
+                    bw_ms, (bw_sel, _) = median_ms(fn)
+                    row[f"g{g}_{mode}_ms"] = bw_ms
+                    row[f"g{g}_{mode}_ratio"] = bw_ms / full_ms
+                    if mode == "checked" and g == 0:
+                        row["logprob_ms"], _ = median_ms(
+                            lambda: mi.log_prob_unnormalized(L, bw_sel))
             row["blocks"] = {f"g{g}": parts[g].m for g in GAMMAS}
             print(json.dumps(row), file=sys.stderr)
             rows.append(row)
