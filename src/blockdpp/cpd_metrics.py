@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core as mc
+from .errors import NonFinite
 
 DEFAULT_DELTA_REG = 1e-6
 
@@ -55,14 +56,19 @@ def _prefix_moments(A: np.ndarray):
 
     Row i of each sum covers samples [0, i), so the moments of any window are
     one subtraction.  Centring first keeps offset data from cancelling.
+    Raises NonFinite when the sums overflow: a prefix sum that is once
+    infinite or NaN stays so, so the last row of S2 shows it.
     """
     centre = A.mean(axis=0)
     Z = A - centre
     T, D = Z.shape
     S1 = np.zeros((T + 1, D))
     S2 = np.zeros((T + 1, D, D))
-    np.cumsum(Z, axis=0, out=S1[1:])
-    np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0, out=S2[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(Z, axis=0, out=S1[1:])
+        np.cumsum(Z[:, :, None] * Z[:, None, :], axis=0, out=S2[1:])
+    if not np.isfinite(S2[-1]).all():
+        raise NonFinite("series too large: its second moments overflow")
     return centre, S1, S2
 
 
@@ -128,11 +134,12 @@ def split_dissimilarity(X, lo, mid, hi, metric: str = "symkl",
     """d(x[lo:mid], x[mid:hi]) for arrays of split positions, all at once.
 
     The series is centred once and every window's mean and covariance come
-    from prefix sums: O(T * D^2) set-up, then batched inverses and
-    log-determinants, once per distinct window (the profile's right window
-    at t is its left window at t+w).  A window with fewer than 2 samples
-    raises ValueError; a covariance that is not positive definite to
-    tolerance raises SingularToTolerance.
+    from prefix sums: O(T * D^2) set-up, then one batched Cholesky
+    (matrix_core.inverse_logdet_spd) for the inverses and log-determinants,
+    once per distinct window (the profile's right window at t is its left
+    window at t+w).  A window with fewer than 2 samples raises ValueError;
+    a covariance that is not positive definite to tolerance raises
+    SingularToTolerance.
     """
     if metric not in ("symkl", "glr_gaussian"):
         raise ValueError(f"unknown series metric {metric!r}")

@@ -239,8 +239,11 @@ class CandidateKernel:
         check_eps_zero(self.eps_zero)
         if q.size != t.size:
             raise ValueError("quality vector and times sizes differ")
-        if not ((q > 0.0) & (q < np.inf)).all():    # NaN fails both
-            raise ValueError("quality values must be positive and finite")
+        with np.errstate(over="ignore"):
+            q_ok = (q > 0.0) & (q * q < np.inf)      # NaN fails both
+        if not q_ok.all():
+            raise ValueError("quality values must be positive and finite, "
+                             "with finite squares")
         # S_ij >= eps_zero iff |t_i - t_j| <= r; the relative and absolute
         # slack keep every entry that rounding lifts to eps_zero inside
         sigma, eps_zero = float(self.sigma), float(self.eps_zero)

@@ -2,11 +2,13 @@
 (``as_square``, ``as_matrix``, ``as_psd``), log-determinant and inversion.
 
 The one PSD rule, ``as_psd``'s: A + PSD_TOL * max(1, max_i A_ii) * I has a
-Cholesky factor, so float noise around a zero eigenvalue passes.  One LAPACK
-Cholesky (``_cholesky_pivots``) sits behind ``log_det``, ``inverse_spd`` and
-the batched ``inverse_logdet_spd``: a matrix that is not positive definite,
-or has a squared pivot at or below DEFAULT_PIVOT_TOL * max(1, its largest
-diagonal entry), raises SingularToTolerance.
+Cholesky factor, so float noise around a zero eigenvalue passes.  The one
+pivot rule, ``_pivot_fault``'s: a matrix that is not positive definite, or
+has a squared Cholesky pivot at or below DEFAULT_PIVOT_TOL * max(1, its
+largest diagonal entry), raises SingularToTolerance.  ``log_det`` takes its
+pivots from one LAPACK Cholesky (``_cholesky_pivots``); ``inverse_spd`` and
+``inverse_logdet_spd`` share one batched Cholesky, vectorised across the
+stack of matrices.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -27,6 +29,12 @@ SYMMETRY_TOL = 1e-9
 # side of the square tiles of as_matrix's symmetry scan; a tile and its
 # transposed partner stay in cache, and the temporaries stay small
 SYMMETRY_TILE = 128
+# matrices per chunk of inverse_logdet_spd: enough that the per-step call
+# overhead is small (a T = 2500 profile at D = 1 is one chunk), few enough
+# that a chunk's (D, D, chunk) temporaries stay a few MB at D = 8
+CHOLESKY_CHUNK = 4096
+_NOT_PD = "matrix is not positive definite"
+_SINGULAR = "matrix is singular to tolerance"
 
 
 def _asymmetry(A: np.ndarray) -> float:
@@ -97,21 +105,29 @@ def as_index_set(idx, n: int) -> np.ndarray:
     return a
 
 
-def _cholesky_pivots(C: np.ndarray) -> np.ndarray:
-    """Diagonal of the LAPACK Cholesky factor of each matrix in a stack.
+def _pivot_fault(p2, diag_max):
+    """The pivot rule: _NOT_PD when a squared Cholesky pivot in p2 is not
+    positive (or NaN), else _SINGULAR when one is at or below
+    DEFAULT_PIVOT_TOL * max(1, diag_max), its matrix's largest diagonal
+    entry broadcast against p2; None when every pivot passes."""
+    if (p2 > DEFAULT_PIVOT_TOL * np.maximum(diag_max, 1.0)).all():
+        return None
+    return _SINGULAR if (p2 > 0.0).all() else _NOT_PD
 
-    Raises SingularToTolerance when a matrix is not positive definite or
-    has a squared pivot at or below DEFAULT_PIVOT_TOL * max(1, max diagonal).
+
+def _cholesky_pivots(A: np.ndarray) -> np.ndarray:
+    """Diagonal of the LAPACK Cholesky factor of one matrix.
+
+    Raises SingularToTolerance by _pivot_fault's rule.
     """
     try:
-        F = np.linalg.cholesky(C)
+        F = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        raise SingularToTolerance("matrix is not positive definite") from None
-    piv = np.diagonal(F, axis1=-2, axis2=-1)
-    diag_max = np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1)
-    thresh = DEFAULT_PIVOT_TOL * np.maximum(diag_max, 1.0)
-    if np.any(piv * piv <= thresh[..., None]):
-        raise SingularToTolerance("matrix is singular to tolerance")
+        raise SingularToTolerance(_NOT_PD) from None
+    piv = np.diagonal(F)
+    fault = _pivot_fault(piv * piv, A.diagonal().max())
+    if fault:
+        raise SingularToTolerance(fault)
     return piv
 
 
@@ -127,23 +143,74 @@ def log_det(M) -> float:
 
 
 def inverse_spd(M) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
+    """Inverse of a symmetric positive definite matrix via Cholesky; the
+    result is exactly symmetric."""
     A = as_matrix(M)
     if A.shape[0] == 0:
         return A.copy()
-    inv, _ = inverse_logdet_spd(A)
-    return 0.5 * (inv + inv.T)
+    return inverse_logdet_spd(A)[0]
+
+
+def _factor_and_invert(A: np.ndarray):
+    """Cholesky of each matrix of A, a (D, D, n) stack read from its lower
+    triangle and overwritten: returns the inverses (D, D, n), the
+    log-determinants (n,) and the squared pivots (D, n).
+
+    Each step is an elementwise operation on length-n vectors, and sums run
+    in a fixed order, so a matrix's results do not depend on n or on its
+    neighbours.  With L the factor and X = L^-1, the inverse is X' X.
+    """
+    D, n = A.shape[0], A.shape[2]
+    p2 = np.empty((D, n))
+    for j in range(D):                       # right-looking Cholesky
+        p2[j] = A[j, j]
+        np.sqrt(p2[j], out=A[j, j])
+        c = A[j + 1:, j]
+        c /= A[j, j]
+        A[j + 1:, j + 1:] -= c[:, None] * c[None, :]
+    X = np.zeros_like(A)                     # forward substitution, L X = I
+    X[np.arange(D), np.arange(D)] = 1.0
+    inv = np.zeros_like(A)
+    logdet = np.zeros(n)
+    for k in range(D):
+        X[k, :k + 1] /= A[k, k]
+        X[k + 1:, :k + 1] -= A[k + 1:, k, None] * X[k, None, :k + 1]
+        inv[:k + 1, :k + 1] += X[k, :k + 1, None] * X[k, None, :k + 1]
+        logdet += np.log(p2[k])
+    return inv, logdet, p2
 
 
 def inverse_logdet_spd(C):
     """Inverses and log-determinants of a stack (..., D, D) of SPD matrices.
 
-    One LAPACK Cholesky per matrix; raises SingularToTolerance as
-    _cholesky_pivots does.
+    One batched Cholesky: the stack is taken CHOLESKY_CHUNK matrices at a
+    time, each chunk laid out as (D, D, chunk), so every step of the column
+    loop is one vector operation across the chunk.  Only lower triangles
+    are read.  A matrix gives the same bits alone as inside any stack.
+    Raises SingularToTolerance by _pivot_fault's rule, with _NOT_PD when any
+    matrix of the stack fails that way.
     """
     C = np.asarray(C, dtype=np.float64)
-    piv = _cholesky_pivots(C)
-    return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {C.shape}")
+    D = C.shape[-1]
+    flat = C.reshape(-1, D, D)
+    inv, logdet = np.empty(flat.shape), np.empty(flat.shape[0])
+    singular = False
+    with np.errstate(invalid="ignore", divide="ignore"):   # faults raise below
+        for s in range(0, flat.shape[0], CHOLESKY_CHUNK):
+            part = slice(s, s + CHOLESKY_CHUNK)
+            A = flat[part].transpose(1, 2, 0).copy()
+            diag_max = np.diagonal(A).max(axis=1)
+            inv_t, logdet[part], p2 = _factor_and_invert(A)
+            inv[part] = inv_t.transpose(2, 0, 1)
+            fault = _pivot_fault(p2, diag_max)
+            if fault == _NOT_PD:
+                raise SingularToTolerance(_NOT_PD)
+            singular = singular or fault == _SINGULAR
+    if singular:
+        raise SingularToTolerance(_SINGULAR)
+    return inv.reshape(C.shape), logdet.reshape(C.shape[:-2])
 
 
 def psd_repair(M, eps: float = 0.0) -> np.ndarray:

@@ -12,6 +12,8 @@ library with.
   to its sub-solver together with the local picks made on it.
 - The pairwise interval sweep that ``kernel_model`` used to find invalid
   cuts before it worked from each row's reach.
+- Inverses and log-determinants of a stack of SPD matrices by LAPACK, one
+  call per matrix, which the batched Cholesky in ``matrix_core`` replaced.
 """
 
 from typing import List
@@ -243,3 +245,23 @@ def invalid_cuts(L, gamma, eps_zero=km.DEFAULT_EPS_ZERO):
     np.add.at(diff, r + gamma + 1, 1)
     np.add.at(diff, c + 1, -1)
     return np.cumsum(diff)[:n] > 0
+
+
+def inverse_logdet_spd(C):
+    """Inverses and log-determinants of a stack of SPD matrices by one LAPACK
+    Cholesky, for the pivots, and one LAPACK inverse per matrix, under the
+    same pivot rule, which a NaN pivot fails: what the batched Cholesky in
+    ``matrix_core`` replaced."""
+    C = np.asarray(C, dtype=np.float64)
+    try:
+        F = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        raise SingularToTolerance("matrix is not positive definite") from None
+    piv = np.diagonal(F, axis1=-2, axis2=-1)
+    if not (piv > 0.0).all():     # numpy's factor holds NaN past a NaN pivot
+        raise SingularToTolerance("matrix is not positive definite")
+    diag_max = np.diagonal(C, axis1=-2, axis2=-1).max(axis=-1)
+    thresh = mc.DEFAULT_PIVOT_TOL * np.maximum(diag_max, 1.0)
+    if np.any(piv * piv <= thresh[..., None]):
+        raise SingularToTolerance("matrix is singular to tolerance")
+    return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)

@@ -10,6 +10,7 @@ from blockdpp import cpd_pipeline as cp
 from blockdpp import kernel_model as km
 from blockdpp import map_inference as mi
 from blockdpp import matrix_core as mc
+from blockdpp.errors import NonFinite
 
 
 def profile(values, window=5):
@@ -386,6 +387,16 @@ class TestDetectChangePoints:
     def test_too_short(self):
         with pytest.raises(ValueError):
             cp.detect_change_points(np.zeros(80), cp.DetectionConfig(window=50))
+
+    def test_overflowing_series_raises(self):
+        # at 1e155 the centred squares overflow: every profile value would
+        # be NaN, and detection would find no change-point and say nothing
+        X, _ = cp.generate_piecewise_gaussian(
+            0, [(300, 0.0, 1.0), (300, 3.0, 1.0)])
+        rep = cp.detect_change_points(X * 1e150, cp.DetectionConfig())
+        assert rep.selected.tolist() == [300]
+        with pytest.raises(NonFinite, match="overflow"):
+            cp.detect_change_points(X * 1e155, cp.DetectionConfig())
 
     def test_truncating_eps_zero_keeps_detection(self):
         # at eps_zero = 1e-4 the truncated S has a negative eigenvalue

@@ -309,6 +309,8 @@ class TestCandidateKernel:
         ([0.0, 1.0], [1.0], 1.0, 0.0, "sizes differ"),
         ([0.0, 1.0], [1.0, 0.0], 1.0, 0.0, "positive and finite"),
         ([0.0, 1.0], [1.0, np.nan], 1.0, 0.0, "positive and finite"),
+        # diagonal [inf, 4, 9], on which greedy_map would pick every item
+        ([0.0, 1.0, 50.0], [1e200, 2.0, 3.0], 1.0, 0.0, "finite squares"),
     ])
     def test_rejects_bad_input(self, times, quality, sigma, eps_zero, match):
         with pytest.raises(ValueError, match=match):

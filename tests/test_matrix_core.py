@@ -150,6 +150,90 @@ class TestInverse:
             mc.inverse_spd(np.outer(v, v))
 
 
+
+def spd_stack(shape, D, seed):
+    """Well-conditioned SPD matrices of shape shape + (D, D), each scaled by
+    a power of ten between 1e-3 and 1e3."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal(shape + (D, 2 * D + 3))
+    C = B @ np.swapaxes(B, -1, -2) / (2 * D + 3) + 0.5 * np.eye(D)
+    return C * 10.0 ** rng.uniform(-3, 3, shape)[..., None, None]
+
+
+def bad_stack(kind):
+    """Seven good 2 x 2 matrices with bad ones at the given positions."""
+    C = spd_stack((7,), 2, 0)
+    a, delta = 4.0, mc.DEFAULT_PIVOT_TOL * 4.0
+    bad = {
+        "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+        "zero pivot": [[1.0, 2.0], [2.0, 4.0]],
+        "below tolerance": [[a, 2.0], [2.0, 1.0 + 0.999 * delta]],
+        "nan": [[np.nan, 0.0], [0.0, 1.0]],
+        "nan off the diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+    }
+    for i, k in kind:
+        C[i] = bad[k]
+    return C
+
+
+class TestBatchedInverse:
+    """inverse_logdet_spd against one LAPACK Cholesky and inverse per matrix."""
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 8])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,),
+                                       (mc.CHOLESKY_CHUNK + 3,)])
+    def test_matches_oracle(self, D, shape):
+        C = spd_stack(shape, D, D)
+        inv, logdet = mc.inverse_logdet_spd(C)
+        ref_inv, ref_logdet = oracle.inverse_logdet_spd(C)
+        assert inv.shape == C.shape and logdet.shape == shape
+        scale = np.abs(ref_inv).max(axis=(-2, -1), initial=0.0)
+        assert (np.abs(inv - ref_inv).max(axis=(-2, -1), initial=0.0)
+                <= 1e-12 * scale).all()
+        assert (np.abs(logdet - ref_logdet)
+                <= 1e-12 * np.maximum(1.0, np.abs(ref_logdet))).all()
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+
+    @pytest.mark.parametrize("kind", [
+        [(3, "indefinite")], [(0, "zero pivot")], [(6, "below tolerance")],
+        [(2, "nan")], [(4, "nan off the diagonal")],
+        # a matrix that is not positive definite outranks a singular one,
+        # in an earlier chunk too
+        [(1, "below tolerance"), (5, "indefinite")],
+    ])
+    @pytest.mark.parametrize("chunk", [2, mc.CHOLESKY_CHUNK])
+    def test_raises_as_oracle(self, kind, chunk, monkeypatch):
+        C = bad_stack(kind)
+        with pytest.raises(SingularToTolerance) as want:
+            oracle.inverse_logdet_spd(C)
+        monkeypatch.setattr(mc, "CHOLESKY_CHUNK", chunk)
+        with pytest.raises(SingularToTolerance, match=str(want.value)):
+            mc.inverse_logdet_spd(C)
+
+    def test_tolerance_boundary_passes_just_above(self):
+        a, b = 4.0, 2.0
+        delta = 1.001 * mc.DEFAULT_PIVOT_TOL * a
+        C = np.array([[a, b], [b, b * b / a + delta]])
+        _, logdet = mc.inverse_logdet_spd(C)
+        assert logdet == pytest.approx(np.log(a * delta), rel=1e-6)
+
+    @pytest.mark.parametrize("D", [1, 8])
+    @pytest.mark.parametrize("chunk", [3, mc.CHOLESKY_CHUNK])
+    def test_matrix_gives_same_bits_alone(self, D, chunk, monkeypatch):
+        monkeypatch.setattr(mc, "CHOLESKY_CHUNK", chunk)
+        C = spd_stack((10,), D, 7)
+        inv, logdet = mc.inverse_logdet_spd(C)
+        rev_inv, rev_logdet = mc.inverse_logdet_spd(C[::-1])
+        for i in range(10):
+            one_inv, one_logdet = mc.inverse_logdet_spd(C[i])
+            assert np.array_equal(one_inv, inv[i])
+            assert np.array_equal(one_inv, rev_inv[9 - i])
+            assert one_logdet == logdet[i] == rev_logdet[9 - i]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            mc.inverse_logdet_spd(np.ones((3, 2)))
+
 class TestSchurComplement:
     def test_matches_direct_formula(self):
         A = random_spd(8, 3)
