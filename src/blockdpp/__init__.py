@@ -22,7 +22,6 @@ from .map_inference import (
 from .cpd_metrics import (
     DissimilarityProfile,
     dissimilarity_profile,
-    glr_gaussian,
     glr_poisson,
     poisson_profile,
     segment_stats,

@@ -145,7 +145,7 @@ def _cmd_gen(args) -> None:
     if args.kind == "kernel":
         kern, part = km.generate_synthetic_kernel(_kernel_spec(args))
         bio.save_csv(args.output, kern.L)
-        bio.save_partition_json(_sibling(args.output, "partition.json"), part)
+        bio.save_json(_sibling(args.output, "partition.json"), part.to_json_dict())
         return
     if not args.segments:
         raise ValueError("--segments is required for gaussian/poisson generation")

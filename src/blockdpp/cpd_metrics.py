@@ -159,16 +159,6 @@ def split_dissimilarity(X, lo, mid, hi, metric: str = "symkl",
     return loglik[left] + loglik[right] - _gauss_loglik(pooled, delta_reg)
 
 
-def glr_gaussian(X1, X2, delta_reg: float = DEFAULT_DELTA_REG) -> float:
-    """Log likelihood ratio: separate Gaussian fits vs one pooled fit."""
-    A1, A2 = as_series(X1), as_series(X2)
-    if A1.shape[1] != A2.shape[1]:
-        raise ValueError("segments must have the same dimension")
-    M1, M2 = A1.shape[0], A2.shape[0]
-    return float(split_dissimilarity(np.vstack([A1, A2]), 0, M1, M1 + M2,
-                                     "glr_gaussian", delta_reg))
-
-
 def _poisson_loglik(count, span):
     if np.any(count < 2):
         raise ValueError("event sequence must contain at least 2 events")
@@ -224,7 +214,10 @@ class DissimilarityProfile:
 
 def dissimilarity_profile(X, window: int, metric: str = "symkl",
                           delta_reg: float = DEFAULT_DELTA_REG) -> DissimilarityProfile:
-    """Adjacent-window dissimilarity d(x[t-w:t], x[t:t+w]) for t in [w, T-w]."""
+    """Adjacent-window dissimilarity d(x[t-w:t], x[t:t+w]) for t in [w, T-w];
+    w counts samples, and one that is not a whole number raises ValueError."""
+    if not float(window).is_integer():
+        raise ValueError(f"window must be a whole number of samples, got {window}")
     A = as_series(X)
     T, D = A.shape
     w = int(window)

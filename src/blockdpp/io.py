@@ -1,4 +1,4 @@
-"""File formats: matrix/series/event CSV and partition/truth JSON."""
+"""File formats: matrix/series/event CSV and sorted-key JSON (partitions, truth)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix_core as mc
-from .kernel_model import BlockPartition, DppKernel
+from .kernel_model import DppKernel
 
 
 def load_matrix_csv(path) -> DppKernel:
@@ -44,14 +44,6 @@ def save_csv(path, rows, header: str = "") -> None:
     non-empty header is written as a leading "# " comment line."""
     np.savetxt(path, np.asarray(rows, dtype=np.float64), delimiter=",",
                fmt="%.17g", header=header)
-
-
-def save_partition_json(path, P: BlockPartition) -> None:
-    Path(path).write_text(json.dumps(P.to_json_dict(), indent=2) + "\n")
-
-
-def load_partition_json(path) -> BlockPartition:
-    return BlockPartition.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def save_json(path, obj) -> None:

@@ -2,8 +2,11 @@
 
 A kernel is *almost block diagonal* when it is block tridiagonal and each
 off-diagonal block is nonzero only in a bottom-left corner of bounded size.
-``gamma_partition`` finds the finest such partition for a given corner
-bound; ``generate_synthetic_kernel`` draws random kernels with a known
+``gamma_partition`` takes every cut whose cross-cut nonzeros fit in a
+gamma x gamma corner, each cut on its own, so at gamma > 0 an entry can
+cross two cuts and couple blocks that are not adjacent; block-wise MAP is
+exact iff no pick of blocks <= b - 2 has an entry in block b.
+``generate_synthetic_kernel`` draws random kernels with a known
 ground-truth partition for benchmarking.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,26 +71,24 @@ class BlockPartition:
 @dataclass(frozen=True, eq=False)
 class DppKernel:
     """A dense kernel L, checked by mc.as_matrix once, here, then held as a
-    read-only view, with optional quality factors: the dense adapter of
-    CandidateKernel's interface (shape, diagonal(), row j as k[j], block,
-    cross, prefix_reach; numpy reads it as L).  _wrap holds an array of an
-    already-checked kernel (a block, a Schur-updated block) unscanned."""
+    read-only view: the dense adapter of CandidateKernel's interface (shape,
+    diagonal(), row j as k[j], block, cross, prefix_reach; numpy reads it as
+    L).  _wrap holds an array of an already-checked kernel (a block, a
+    Schur-updated block) unscanned."""
 
     L: np.ndarray
-    quality: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self._hold(mc.as_matrix(self.L), self.quality)
+        self._hold(mc.as_matrix(self.L))
 
     @classmethod
-    def _wrap(cls, L: np.ndarray, quality=None) -> "DppKernel":
-        return object.__new__(cls)._hold(L, quality)
+    def _wrap(cls, L: np.ndarray) -> "DppKernel":
+        return object.__new__(cls)._hold(L)
 
-    def _hold(self, L, quality) -> "DppKernel":
+    def _hold(self, L) -> "DppKernel":
         L = L.view()
         L.flags.writeable = False
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "quality", quality)
         return self
 
     @property
@@ -101,7 +102,7 @@ class DppKernel:
         return self.L[j]
 
     def block(self, a: int, b: int) -> "DppKernel":
-        """L[a:b, a:b] as a view, without quality; not scanned again."""
+        """L[a:b, a:b] as a view; not scanned again."""
         return DppKernel._wrap(self.L[a:b, a:b])
 
     def cross(self, rows, cols) -> np.ndarray:
@@ -142,9 +143,9 @@ class SyntheticKernelSpec:
 
 
 def build_quality_diversity_kernel(q, S) -> DppKernel:
-    """L = diag(q) @ S @ diag(q), keeping q alongside L.  S must pass
-    mc.as_psd: S + PSD_TOL * max(1, max_i S_ii) * I has a Cholesky factor.
-    L is scaled into a copy of the checked S, then checked only for overflow."""
+    """L = diag(q) @ S @ diag(q).  S must pass mc.as_psd: S + PSD_TOL *
+    max(1, max_i S_ii) * I has a Cholesky factor.  L is scaled into a copy
+    of the checked S, then checked only for overflow."""
     L = mc.as_psd(S).copy()
     q = np.asarray(q, dtype=np.float64).ravel()
     if q.size != L.shape[0]:
@@ -155,7 +156,7 @@ def build_quality_diversity_kernel(q, S) -> DppKernel:
     L *= q
     if not np.isfinite(L).all():
         raise ValueError("quality values overflow the kernel")
-    return DppKernel._wrap(L, q.copy())
+    return DppKernel._wrap(L)
 
 
 def check_eps_zero(eps_zero: float) -> None:
@@ -443,7 +444,7 @@ def generate_synthetic_kernel(spec: SyntheticKernelSpec):
     L[~mask] = 0.0
     L = L + L.T
     L *= 0.5
-    L = mc.psd_repair(L, eps=1e-8)
+    L = mc.psd_repair(L)
 
     gamma = max(overlaps) if overlaps else 0
     # psd_repair checked L: hold it as it is, with no second scan or copy

@@ -99,8 +99,9 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     """Sequential block-wise MAP inference.
 
     Each block's sub-kernel is the original diagonal block minus a Schur
-    correction through the previous block's selected items (cross terms to
-    earlier blocks vanish by the almost-block-diagonal structure).  The
+    correction through the previous block's selected items.  That is exact
+    iff no pick of blocks <= b - 2 has an entry in block b, which neither
+    this loop nor gamma_partition at gamma > 0 ensures.  The
     correction touches only the block's leading columns up to the last one
     with a nonzero cross entry from those items, and is skipped when there
     is none, so exact zeros stay exact.  f gets that block, with the
@@ -116,8 +117,8 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
     even across a gamma = 0 cut).  The trace records each block's span, its
     global picks and its time in ms, and keeps no matrix; collect_trace=False
     drops those records.  The picks are a strictly increasing int64 array;
-    a sub-solver index out of range raises IndexError, a repeated one
-    ValueError.
+    f's picks, in any order, go through mc.as_index_set: one out of range
+    raises IndexError, a repeated or non-integer one ValueError.
     """
     A = km.as_kernel(L)
     if P.n != A.shape[0]:
@@ -150,8 +151,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 S = block[:c, :c] - X.T @ X
                 block[:c, :c] = 0.5 * (S + S.T)
                 reduced = km.DppKernel._wrap(block)
-        local = mc.as_index_set(np.sort(np.asarray(f(reduced), dtype=np.int64)),
-                                stop - start)
+        local = mc.as_index_set(np.sort(f(reduced)), stop - start)
         global_sel = local + start
         if collect_trace:
             trace.blocks.append(BlockTrace(

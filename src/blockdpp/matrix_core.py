@@ -1,14 +1,14 @@
 """Dense symmetric-matrix primitives, numpy only: the three doors for a kernel
-(``as_square``, ``as_matrix``, ``as_psd``), log-determinant and inversion.
+(``as_square``, ``as_matrix``, ``as_psd``), index sets, log-determinant,
+inversion and ``psd_repair``.
 
 The one PSD rule, ``as_psd``'s: A + PSD_TOL * max(1, max_i A_ii) * I has a
 Cholesky factor, so float noise around a zero eigenvalue passes.  The one
 pivot rule, ``_pivot_fault``'s: a matrix that is not positive definite, or
 has a squared Cholesky pivot at or below DEFAULT_PIVOT_TOL * max(1, its
 largest diagonal entry), raises SingularToTolerance.  ``log_det`` takes its
-pivots from one LAPACK Cholesky (``_cholesky_pivots``); ``inverse_spd`` and
-``inverse_logdet_spd`` share one batched Cholesky, vectorised across the
-stack of matrices.
+pivots from one LAPACK Cholesky; ``inverse_spd`` and ``inverse_logdet_spd``
+share one batched Cholesky, vectorised across the stack of matrices.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -26,6 +26,7 @@ from .errors import NonFinite, SingularToTolerance
 DEFAULT_PIVOT_TOL = 1e-10
 PSD_TOL = 1e-8
 SYMMETRY_TOL = 1e-9
+PSD_REPAIR_MARGIN = 1e-8
 # side of the square tiles of as_matrix's symmetry scan; a tile and its
 # transposed partner stay in cache, and the temporaries stay small
 SYMMETRY_TILE = 128
@@ -95,8 +96,15 @@ def as_psd(M) -> np.ndarray:
 
 
 def as_index_set(idx, n: int) -> np.ndarray:
-    """Validate a strictly increasing 0-based index set for an n x n matrix."""
-    a = np.asarray(idx, dtype=np.int64).ravel()
+    """Validate a strictly increasing 0-based index set for an n x n matrix,
+    returned as int64; a value that is not an integer raises ValueError."""
+    a = np.asarray(idx).ravel()
+    if a.dtype != np.int64:                  # an int64 array needs no check
+        with np.errstate(invalid="ignore"):   # NaN and inf fail the test below
+            i = a.astype(np.int64)
+        if not (i == a).all():
+            raise ValueError("index set must hold integers")
+        a = i
     if a.size:
         if (a[1:] <= a[:-1]).any():
             raise ValueError("index set must be strictly increasing")
@@ -115,31 +123,20 @@ def _pivot_fault(p2, diag_max):
     return _SINGULAR if (p2 > 0.0).all() else _NOT_PD
 
 
-def _cholesky_pivots(A: np.ndarray) -> np.ndarray:
-    """Diagonal of the LAPACK Cholesky factor of one matrix.
-
-    Raises SingularToTolerance by _pivot_fault's rule.
-    """
-    try:
-        F = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise SingularToTolerance(_NOT_PD) from None
-    piv = np.diagonal(F)
-    fault = _pivot_fault(piv * piv, A.diagonal().max())
-    if fault:
-        raise SingularToTolerance(fault)
-    return piv
-
-
 def log_det(M) -> float:
-    """log det of a positive definite matrix; the 0x0 matrix has det 1.
-
-    Raises SingularToTolerance as _cholesky_pivots does.
-    """
+    """log det of a positive definite matrix from one LAPACK Cholesky; the
+    0x0 matrix has det 1.  Raises SingularToTolerance by _pivot_fault's rule."""
     A = as_matrix(M)
     if A.shape[0] == 0:
         return 0.0
-    return float(2.0 * np.sum(np.log(_cholesky_pivots(A))))
+    try:
+        piv = np.diagonal(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        raise SingularToTolerance(_NOT_PD) from None
+    fault = _pivot_fault(piv * piv, A.diagonal().max())
+    if fault:
+        raise SingularToTolerance(fault)
+    return float(2.0 * np.sum(np.log(piv)))
 
 
 def inverse_spd(M) -> np.ndarray:
@@ -213,15 +210,13 @@ def inverse_logdet_spd(C):
     return inv.reshape(C.shape), logdet.reshape(C.shape[:-2])
 
 
-def psd_repair(M, eps: float = 0.0) -> np.ndarray:
-    """Return M if PSD, else M shifted by (|lambda_min| + eps) on the diagonal.
-
-    The off-diagonal sparsity pattern is never touched.
-    """
+def psd_repair(M) -> np.ndarray:
+    """Return M if PSD, else M shifted by |lambda_min| + PSD_REPAIR_MARGIN on
+    the diagonal.  The off-diagonal sparsity pattern is never touched."""
     A = as_matrix(M)
     if A.shape[0] == 0:
         return A.copy()
     lam = float(np.linalg.eigvalsh(A)[0])
     if lam >= 0.0:
         return A.copy()
-    return A + (abs(lam) + eps) * np.eye(A.shape[0])
+    return A + (abs(lam) + PSD_REPAIR_MARGIN) * np.eye(A.shape[0])

@@ -9,6 +9,7 @@ from blockdpp import io as bio
 from blockdpp import matrix_core as mc
 from blockdpp.cpd_pipeline import (DetectionConfig, generate_piecewise_gaussian,
                                    generate_poisson_events)
+from blockdpp.kernel_model import BlockPartition
 
 
 def run(*argv):
@@ -43,8 +44,8 @@ class TestGen:
     def test_kernel_and_partition_files(self, kernel_file):
         L = bio.load_matrix_csv(kernel_file)
         assert L.shape == (40, 40)
-        part = bio.load_partition_json(
-            kernel_file.with_name("k.partition.json"))
+        part = BlockPartition.from_json_dict(
+            bio.load_json(kernel_file.with_name("k.partition.json")))
         assert part.n == 40
 
     def test_gaussian_series_and_truth(self, series_files):

@@ -15,6 +15,14 @@ def stats(mean, cov):
     return cm.SegmentStats(count=2, mean=mu, cov=C)
 
 
+def glr_gaussian(X1, X2):
+    """The Gaussian GLR of two segments: the split metric on their stack."""
+    A1, A2 = cm.as_series(X1), cm.as_series(X2)
+    M = len(A1)
+    return float(cm.split_dissimilarity(np.vstack([A1, A2]), 0, M, M + len(A2),
+                                        "glr_gaussian"))
+
+
 class TestSeriesCoercion:
     def test_1d_becomes_column(self):
         assert cm.as_series([1.0, 2.0]).shape == (2, 1)
@@ -102,29 +110,25 @@ class TestGlrGaussian:
     def test_identical_segments_near_zero(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal(400)
-        v = cm.glr_gaussian(X[:200], X[200:])
+        v = glr_gaussian(X[:200], X[200:])
         assert -1e-9 <= v <= 5.0
 
     def test_mean_shift_strongly_positive(self):
         rng = np.random.default_rng(3)
         X1 = rng.standard_normal(100)
         X2 = rng.standard_normal(100) + 5.0
-        assert cm.glr_gaussian(X1, X2) > 100.0
+        assert glr_gaussian(X1, X2) > 100.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             X1 = rng.standard_normal(20)
             X2 = rng.standard_normal(25)
-            assert cm.glr_gaussian(X1, X2) >= -1e-9
+            assert glr_gaussian(X1, X2) >= -1e-9
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            cm.glr_gaussian([1.0], [1.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cm.glr_gaussian(np.ones((3, 2)), np.ones((3, 1)))
+            glr_gaussian([1.0], [1.0, 2.0])
 
 
 class TestGlrPoisson:
@@ -179,6 +183,14 @@ class TestProfiles:
     def test_too_short(self):
         with pytest.raises(ValueError):
             cm.dissimilarity_profile(np.zeros(79), 40)  # T = 2w - 1
+
+    def test_fractional_window_rejected(self):
+        X = np.random.default_rng(14).standard_normal(60)
+        with pytest.raises(ValueError, match="whole number"):
+            cm.dissimilarity_profile(X, 10.7)
+        whole = cm.dissimilarity_profile(X, 10.0)
+        assert whole.window == 10 and np.array_equal(
+            whole.values, cm.dissimilarity_profile(X, 10).values)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
@@ -253,7 +265,7 @@ class TestEngineAgainstLoops:
             o = lambda X: oracle.segment_stats(X, cm.DEFAULT_DELTA_REG)
             assert cm.symkl(s(X1), s(X2)) == pytest.approx(
                 oracle.symkl(o(X1), o(X2)), rel=1e-7)
-            assert cm.glr_gaussian(X1, X2) == pytest.approx(
+            assert glr_gaussian(X1, X2) == pytest.approx(
                 oracle.split_metric(np.vstack([X1, X2]), 0, 15, 35,
                                     "glr_gaussian", cm.DEFAULT_DELTA_REG),
                 rel=1e-7)

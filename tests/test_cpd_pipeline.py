@@ -388,6 +388,15 @@ class TestDetectChangePoints:
         with pytest.raises(ValueError):
             cp.detect_change_points(np.zeros(80), cp.DetectionConfig(window=50))
 
+    def test_fractional_window_raises(self):
+        # the report and eval's default tolerance would say 50.9 while the
+        # profile ran at 50; event windows are time widths and stay floats
+        X, _ = cp.generate_piecewise_gaussian(
+            0, [(150, 0.0, 1.0), (150, 4.0, 1.0)])
+        with pytest.raises(ValueError, match="whole number"):
+            cp.detect_change_points(X, cp.DetectionConfig(window=50.9))
+        assert cp.detect_change_points(X, cp.DetectionConfig(window=50.0)).selected.size
+
     def test_overflowing_series_raises(self):
         # at 1e155 the centred squares overflow: every profile value would
         # be NaN, and detection would find no change-point and say nothing

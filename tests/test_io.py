@@ -99,8 +99,8 @@ class TestJson:
     def test_partition_roundtrip(self, tmp_path):
         part = BlockPartition((3, 4, 5), gamma=2)
         p = tmp_path / "p.json"
-        bio.save_partition_json(p, part)
-        assert bio.load_partition_json(p) == part
+        bio.save_json(p, part.to_json_dict())
+        assert BlockPartition.from_json_dict(bio.load_json(p)) == part
 
     @pytest.mark.parametrize("d,field", [
         ({"block_sizes": [2, 3.7], "gamma": 1}, "block sizes"),
@@ -110,7 +110,7 @@ class TestJson:
         p = tmp_path / "p.json"
         bio.save_json(p, d)
         with pytest.raises(ValueError, match=field):
-            bio.load_partition_json(p)
+            BlockPartition.from_json_dict(bio.load_json(p))
 
     def test_json_roundtrip_sorted(self, tmp_path):
         p = tmp_path / "d.json"

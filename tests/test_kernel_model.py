@@ -323,7 +323,6 @@ class TestQualityDiversityKernel:
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
         kern = km.build_quality_diversity_kernel(q, S)
         assert np.allclose(kern.L, [[4.0, 3.0], [3.0, 9.0]])
-        assert np.array_equal(kern.quality, q)
 
     def test_leaves_the_similarity_untouched(self):
         # L is scaled into a copy of S; the caller's S stays as it was

@@ -254,7 +254,7 @@ class TestBlockwiseMap:
         mask = np.zeros((8, 8), dtype=bool)
         mask[:4, :4] = mask[4:, 4:] = True
         mask[2:4, 4] = mask[4, 2:4] = True
-        L = mc.psd_repair(np.where(mask, B.T @ B, 0.0), eps=1e-8)
+        L = mc.psd_repair(np.where(mask, B.T @ B, 0.0))
         part = km.BlockPartition((4, 4), 3)
         seen = []
         sel, _ = mi.blockwise_map(L, part, oracle.recording(seen),
@@ -387,6 +387,32 @@ class TestBlockwiseMap:
         bad = lambda K: np.array([1, 1])
         with pytest.raises(ValueError, match="strictly increasing"):
             mi.blockwise_map(2 * np.eye(4), km.BlockPartition((2, 2), 0), bad)
+
+    def test_fractional_subsolver_indices(self):
+        # a cast to int64 would report [0, 1]
+        bad = lambda K: np.array([0.9, 1.2])
+        with pytest.raises(ValueError, match="integer"):
+            mi.blockwise_map(2 * np.eye(4), km.BlockPartition((4,), 0), bad)
+
+    @pytest.mark.parametrize("picks, want", [([], []), ([1.0, 0.0], [0, 1, 2, 3])])
+    def test_subsolver_output_taken_as_given(self, picks, want):
+        sel, _ = mi.blockwise_map(2 * np.eye(4), km.BlockPartition((2, 2), 0),
+                                  lambda K: picks)
+        assert sel.dtype == np.int64 and sel.tolist() == want
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: gamma_partition "
+                       "couples blocks that are not adjacent at gamma > 0")
+    def test_pick_two_blocks_back_conditions_its_block(self):
+        # L_13 crosses cuts 2 and 3, each valid on its own at gamma = 2, so
+        # today's partition is all singletons (and validate_partition
+        # accepts it); pick 1 then couples to block 3, two blocks on, but
+        # the loop conditions block 3 on block 2's pick alone and returns
+        # [0, 1, 2, 3, 4] at log-prob 1.138 against full greedy's 2.773
+        L = 2.0 * np.eye(5)
+        L[1, 3] = L[3, 1] = 1.9
+        assert mi.greedy_map(L).tolist() == [0, 1, 2, 4]
+        sel, _ = mi.blockwise_map(L, km.gamma_partition(L, 2))
+        assert sel.tolist() == [0, 1, 2, 4]
 
     def test_trace_invariants(self):
         L, part = synthetic(seed=3)
@@ -566,6 +592,11 @@ class TestLogProb:
     def test_rejects_non_square(self, L):
         with pytest.raises(ValueError, match="expected a square matrix"):
             mi.log_prob_unnormalized(L, [0])
+
+    def test_rejects_fractional_indices(self):
+        # a cast to int64 would score items 0 and 1: log 6
+        with pytest.raises(ValueError, match="integer"):
+            mi.log_prob_unnormalized(np.diag([2.0, 3.0, 4.0]), [0.5, 1.7])
 
     def test_matches_slogdet(self):
         L = random_spd(6, 0)

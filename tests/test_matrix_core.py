@@ -93,6 +93,17 @@ class TestIndexSets:
         with pytest.raises(IndexError):
             mc.as_index_set([-1], 5)
 
+    @pytest.mark.parametrize("idx", [[0.5, 1.7], [0, 1.5], [np.nan], [1, np.inf]])
+    def test_rejects_non_integers(self, idx):
+        # a cast to int64 would truncate [0.5, 1.7] to [0, 1]
+        with pytest.raises(ValueError, match="integer"):
+            mc.as_index_set(idx, 5)
+
+    def test_integer_values_pass_as_int64(self):
+        for idx, want in (([0.0, 3.0], [0, 3]), ([], []), (np.array([1, 4]), [1, 4])):
+            a = mc.as_index_set(idx, 5)
+            assert a.dtype == np.int64 and a.tolist() == want
+
 
 class TestLogDet:
     def test_matches_slogdet(self):
@@ -331,7 +342,8 @@ class TestPsdRepair:
         assert np.array_equal(R - np.diag(np.diagonal(R)),
                               A - np.diag(np.diagonal(A)))
 
-    def test_eps_gives_strict_margin(self):
+    def test_shift_leaves_the_margin(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        R = mc.psd_repair(A, eps=1e-6)
-        assert np.linalg.eigvalsh(R)[0] >= 1e-6 - 1e-12
+        R = mc.psd_repair(A)
+        assert np.linalg.eigvalsh(R)[0] == pytest.approx(mc.PSD_REPAIR_MARGIN,
+                                                         abs=1e-12)

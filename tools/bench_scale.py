@@ -38,7 +38,8 @@ the window's tolerance) and the child's peak RSS.
 
 The entry, keyed by --label, replaces any earlier entry of that label in the
 output file; it records the environment and the git SHA of the --src tree
-(``src_modified`` is true when that tree differs from its HEAD).  Uses only
+(``src_modified`` is true when that tree differs from its HEAD), and
+``src_lines``, the ``wc -l`` total of that tree's ``blockdpp/*.py``.  Uses only
 the standard library and numpy.
 """
 
@@ -103,6 +104,8 @@ def environment(src: Path) -> dict:
         "loadavg_at_start": list(os.getloadavg()),
         "git_sha": git(src, "rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
+        "src_lines": sum(p.read_bytes().count(b"\n")
+                         for p in (src / "blockdpp").glob("*.py")),
     }
 
 
