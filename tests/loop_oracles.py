@@ -14,6 +14,8 @@ library with.
   cuts before it worked from each row's reach.
 - Inverses and log-determinants of a stack of SPD matrices by LAPACK, one
   call per matrix, which the batched Cholesky in ``matrix_core`` replaced.
+- The symmetry scan as a dense |A - A^T|, read tile pair by tile pair,
+  which ``matrix_core``'s scan of only the tiles holding a nonzero replaced.
 """
 
 from typing import List
@@ -265,3 +267,18 @@ def inverse_logdet_spd(C):
     if np.any(piv * piv <= thresh[..., None]):
         raise SingularToTolerance("matrix is singular to tolerance")
     return np.linalg.inv(C), 2.0 * np.sum(np.log(piv), axis=-1)
+
+
+def asymmetry(A, tile):
+    """max |A_ij - A_ji| from the dense D = |A - A^T|: the max of the first
+    tile pair (I, J), I <= J in row-major order, whose max is NaN or
+    infinite, else the max of D (0.0 for N = 0)."""
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+        D = np.abs(A - A.T)
+    n = A.shape[0]
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            m = float(D[i:i + tile, j:j + tile].max())
+            if not np.isfinite(m):
+                return m
+    return float(D.max(initial=0.0))

@@ -598,6 +598,11 @@ class TestLogProb:
         with pytest.raises(ValueError, match="integer"):
             mi.log_prob_unnormalized(np.diag([2.0, 3.0, 4.0]), [0.5, 1.7])
 
+    def test_rejects_boolean_mask(self):
+        # read as indices, the mask [False, True] scores items 0 and 1: log 6
+        with pytest.raises(ValueError, match="mask"):
+            mi.log_prob_unnormalized(np.diag([2.0, 3.0, 4.0]), [False, True])
+
     def test_matches_slogdet(self):
         L = random_spd(6, 0)
         idx = [1, 3, 4]

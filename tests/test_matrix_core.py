@@ -1,15 +1,46 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
 from blockdpp import matrix_core as mc
 from blockdpp.errors import NonFinite, SingularToTolerance
+
+T = mc.SYMMETRY_TILE
 
 
 def random_spd(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n + 3, n))
     return scale * (B.T @ B) / (n + 3)
+
+
+def block_diagonal(n, seed):
+    """random_spd zeroed outside diagonal blocks of 8 items, so that every
+    tile edge (a multiple of 8) is a block edge and most tile pairs are
+    all zeros on both sides."""
+    b = np.arange(n) // 8
+    return random_spd(n, seed) * (b[:, None] == b[None, :])
+
+
+BASES = {"dense": random_spd, "block diagonal": block_diagonal}
+
+
+def structured(n, kind, seed):
+    """A symmetric n x n matrix: dense, banded, or block diagonal with
+    blocks of 1 to 2T items."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A += A.T
+    i = np.arange(n)
+    if kind == "banded":
+        A *= np.abs(i[:, None] - i[None, :]) <= rng.integers(0, T)
+    elif kind == "block diagonal":
+        b = np.searchsorted(np.cumsum(rng.integers(1, 2 * T, n + 1)), i, "right")
+        A *= b[:, None] == b[None, :]
+    return A
 
 
 class TestAsMatrix:
@@ -25,13 +56,16 @@ class TestAsMatrix:
         with pytest.raises(NonFinite):
             mc.as_matrix([[1.0, np.nan], [np.nan, 1.0]])
 
+    @pytest.mark.parametrize("base", list(BASES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["diagonal", "upper", "last tile"])
-    def test_rejects_each_non_finite_value(self, bad, where):
-        n = 2 * mc.SYMMETRY_TILE + 5
-        A = random_spd(n, 0)
+    @pytest.mark.parametrize("where", ["diagonal", "upper", "last tile", "tile edge"])
+    def test_rejects_each_non_finite_value(self, base, bad, where):
+        # on the block-diagonal base, "upper" and "tile edge" lie in a tile
+        # pair that is otherwise all zeros
+        n = 2 * T + 5
+        A = BASES[base](n, 0)
         i, j = {"diagonal": (3, 3), "upper": (0, n - 1),
-                "last tile": (n - 1, n - 2)}[where]
+                "last tile": (n - 1, n - 2), "tile edge": (T, T - 1)}[where]
         A[i, j] = bad      # one entry only: also asymmetric, NonFinite wins
         with pytest.raises(NonFinite):
             mc.as_matrix(A)
@@ -42,18 +76,18 @@ class TestAsMatrix:
 
     @pytest.mark.parametrize("i, j", [
         (-1, -3), (-3, -1),                   # inside the last row tile
-        (63, 64), (65, 62),                   # inside the first diagonal tile
-        (mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),   # pair straddles a tile
-        (mc.SYMMETRY_TILE + 1, mc.SYMMETRY_TILE - 2),  # boundary, both ways
+        (0, -1), (-1, 0),                     # the corner tiles, both triangles
+        (T // 2 - 1, T // 2), (T // 2 + 1, T // 2 - 2),   # first diagonal tile
+        (T - 1, T), (T + 1, T - 2),           # pair straddles a tile, both ways
         # on a row-tile and a column-tile edge at once, both triangles
-        (mc.SYMMETRY_TILE - 1, 2 * mc.SYMMETRY_TILE),
-        (2 * mc.SYMMETRY_TILE, mc.SYMMETRY_TILE - 1),
-        (mc.SYMMETRY_TILE, 2 * mc.SYMMETRY_TILE - 1),
-        (2 * mc.SYMMETRY_TILE - 1, mc.SYMMETRY_TILE),
+        (T - 1, 2 * T), (2 * T, T - 1), (T, 2 * T - 1), (2 * T - 1, T),
     ])
-    def test_symmetry_scan_covers_every_tile(self, i, j):
-        n = 2 * mc.SYMMETRY_TILE + 5
-        A = 10.0 * random_spd(n, 1)
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_symmetry_scan_covers_every_tile(self, base, i, j):
+        # on the block-diagonal base, an entry off the diagonal tiles is the
+        # only nonzero of its tile, and the mirror tile is all zeros
+        n = 2 * T + 5
+        A = 10.0 * BASES[base](n, 1)
         tol = mc.SYMMETRY_TOL * np.abs(A).max()
         B = A.copy()
         B[i, j] += 0.5 * tol
@@ -64,6 +98,34 @@ class TestAsMatrix:
 
     def test_accepts_empty(self):
         assert mc.as_matrix(np.zeros((0, 0))).shape == (0, 0)
+
+    # N = 0, below one tile, on and past tile edges; positions drawn on tile
+    # edges too; values that are non-finite, -0.0, tiny and large, planted on
+    # one side or both
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.sampled_from([0, 1, 7, T - 1, T, T + 1, 2 * T + 5, 3 * T]),
+           kind=st.sampled_from(["dense", "banded", "block diagonal"]),
+           seed=st.integers(0, 2**31 - 1),
+           plants=st.lists(st.tuples(
+               st.one_of(st.sampled_from([0, T - 1, T, 2 * T - 1, 2 * T]),
+                         st.integers(0, 3 * T - 1)),
+               st.one_of(st.sampled_from([0, T - 1, T, 2 * T - 1, 2 * T]),
+                         st.integers(0, 3 * T - 1)),
+               st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e-12, 1.0]),
+               st.booleans()), max_size=3),
+           order=st.sampled_from("CF"))
+    def test_scan_matches_dense_oracle(self, n, kind, seed, plants, order):
+        A = structured(n, kind, seed)
+        for i, j, value, both in plants if n else ():
+            A[i % n, j % n] = value
+            if both:
+                A[j % n, i % n] = value
+        A = np.asarray(A, order=order)
+        got, want = mc._asymmetry(A), oracle.asymmetry(A, T)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.isfinite(got) == np.isfinite(A).all()
+        if np.isnan(A).any() and not np.isinf(A).any():
+            assert math.isnan(got)
 
 
 class TestAsSquare:
@@ -97,6 +159,13 @@ class TestIndexSets:
     def test_rejects_non_integers(self, idx):
         # a cast to int64 would truncate [0.5, 1.7] to [0, 1]
         with pytest.raises(ValueError, match="integer"):
+            mc.as_index_set(idx, 5)
+
+    @pytest.mark.parametrize("idx", [[False, True], np.array([True, False, True]),
+                                     np.array([[True]]), np.zeros(0, dtype=bool)])
+    def test_rejects_boolean_mask(self, idx):
+        # a cast to int64 would read the mask's 0s and 1s as items
+        with pytest.raises(ValueError, match="mask"):
             mc.as_index_set(idx, 5)
 
     def test_integer_values_pass_as_int64(self):
