@@ -143,10 +143,14 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
     """Quality/position-diversity kernel over candidates plus its partition.
 
     The kernel is a km.CandidateKernel: L = diag(q) S diag(q) held as the
-    times and qualities, read row by row, so detection builds no n x n array
-    and factors nothing: greedy pivots on picks only (each above 1), and
-    lambda_min(L) >= -delta * max q^2 (S's bound).  The partition's reach
-    comes from the times too.
+    times and qualities, read row by row, and no PSD check is run: greedy
+    pivots on picks only (each above 1), and lambda_min(L) >= -delta *
+    max q^2 (S's bound).  Detection builds no n x n array and factors no
+    kernel, with one exception: greedy_map densifies a block of at most
+    mi.CERTIFY_MAX_DIM items whose diagonal entries all exceed 1 and tries
+    one Cholesky of it; a failed one only sends the block to the pick
+    loop, so any eps_zero runs.  The partition's reach comes from the times
+    too.
     """
     if np.size(cand_times) != np.size(q) or np.size(q) == 0:
         raise ValueError("need matching, nonempty candidates and qualities")

@@ -48,10 +48,16 @@ def match_changes(detected, truth, tolerance: float) -> MatchResult:
     """Greedy one-to-one matching by increasing |detected - truth| distance.
 
     Distance ties break to the earlier truth time; only pairs within the
-    tolerance count.
+    tolerance count.  A NaN or negative tolerance, or a time that is not
+    finite, raises ValueError.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"match tolerance must be >= 0, got {tolerance}")
     det = np.asarray(detected, dtype=np.float64).ravel()
     tru = np.asarray(truth, dtype=np.float64).ravel()
+    for name, times in (("detected", det), ("truth", tru)):
+        if not np.isfinite(times).all():
+            raise ValueError(f"{name} times contain non-finite values")
     cands = sorted(
         ((abs(d - t), t, i, j) for i, d in enumerate(det)
          for j, t in enumerate(tru) if abs(d - t) <= tolerance),

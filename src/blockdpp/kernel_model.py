@@ -218,7 +218,8 @@ class CandidateKernel:
     in columns [lo_j, hi_j), the candidates within r = sigma sqrt(ln(1/eps_zero))
     of t_j that np.searchsorted finds; r carries a slack that covers float
     rounding, and eps_zero = 0 makes the window unbounded.  Inference and
-    partitions read it through the interface DppKernel shares, with no n x n L.
+    partitions read it through the interface DppKernel shares, with no n x n L
+    (but for greedy_map's certificate on at most CERTIFY_MAX_DIM items).
     """
 
     times: np.ndarray

@@ -34,6 +34,14 @@ EXHAUSTIVE_CHUNK = 4096
 # Least rows per Cholesky in log_prob_unnormalized: many tiny ones cost more
 LOGPROB_CHUNK = 64
 
+# Largest kernel greedy_map tries to certify whole with one Cholesky.  A
+# failed factor is wasted work: on random SPD kernels (1 BLAS thread) it cost
+# 6/19/49/85% of the pick loop at n = 64/128/256/512.  On the benchmark's
+# map_dense block-wise ops, caps 64/128/256 cut a pass by 16-19/22-24/24-27%
+# (input sets 1 and 2, min of 6); 256 adds 2-3 points for more than twice
+# the cost of each failed check.
+CERTIFY_MAX_DIM = 128
+
 # a block's kernel (DppKernel or CandidateKernel, read by np.asarray) -> picks
 SubSolver = Callable[[km.DppKernel], np.ndarray]
 
@@ -47,17 +55,35 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     > 1) for the first pick.  Every later pick must have conditional
     diagonal > 1.  Ties break to the lowest index.
 
+    Certificate first: if N <= CERTIFY_MAX_DIM and every diagonal entry
+    exceeds 1, one Cholesky of L - (1 + mc.PSD_TOL * max(1, max L_ii)) I is
+    tried on the dense L.  If it succeeds, lambda_min(L) > 1, so every
+    conditional diagonal exceeds 1, greedy takes every item and the whole
+    set is returned (the margin is far above greedy's rounding at that N).
+    If it fails, the loop below runs as if it had not been tried.
+
     Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
     row t of the Cholesky factor of the picks, extended over all N items,
     and d holds the conditional diagonal given the picks.  O(N k^2) time
-    and O(k N) memory for k picks.  L goes through km.as_kernel, and only
-    its diagonal and one row per pick are read (no N x N array is built).
+    and O(k N) memory for k picks.  L goes through km.as_kernel, and the
+    loop reads only its diagonal and one row per pick; no N x N array is
+    built unless the certificate is tried.
     """
     A = km.as_kernel(L)
     d = A.diagonal().copy()
     # conditional diagonals only shrink, so only items with A_ii > 1 can
-    # follow the first pick; C starts at 32 rows and doubles up to that bound
-    max_picks = min(d.size, 1 + int(np.count_nonzero(d > 1.0)))
+    # follow the first pick
+    gains = int(np.count_nonzero(d > 1.0))
+    if 0 < gains == d.size <= CERTIFY_MAX_DIM:
+        M = np.array(A)   # a new dense array to write to
+        M.flat[::d.size + 1] -= 1.0 + mc.PSD_TOL * max(1.0, d.max())
+        try:
+            np.linalg.cholesky(M)
+            return np.arange(d.size, dtype=np.int64)
+        except np.linalg.LinAlgError:
+            pass
+    # C starts at 32 rows and doubles up to the bound on the picks
+    max_picks = min(d.size, 1 + gains)
     C = np.empty((min(max_picks, 32), d.size))
     picks: List[int] = []
     floor = 1.0 if require_initial_gain else UNSELECTABLE_DIAG

@@ -277,6 +277,17 @@ class TestEval:
         assert set(d) >= {"precision", "recall", "f1"}
         assert d["f1"] > 0.0
 
+    @pytest.mark.parametrize("tol", ["-5", "nan"])
+    def test_rejects_negative_or_nan_tolerance(self, detection, tmp_path,
+                                               capsys, tol):
+        rep, truth, _ = detection
+        out = tmp_path / "eval.json"
+        assert run("eval", "--report", str(rep), "--truth", str(truth),
+                   "--tol", tol, "-o", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tolerance" in err
+        assert not out.exists()
+
     def test_roc_requires_grid(self, detection, tmp_path):
         rep, truth, ts = detection
         assert run("eval", "--report", str(rep), "--truth", str(truth),

@@ -28,6 +28,25 @@ class TestMatchChanges:
         m = ev.match_changes([10.0, 13.0], [12.0], tolerance=5.0)
         assert m.pairs == [(13.0, 12.0)]
 
+    def test_zero_tolerance_matches_exact_hits(self):
+        m = ev.match_changes([10.0, 50.0], [10.0, 52.0], tolerance=0.0)
+        assert m.pairs == [(10.0, 10.0)]
+
+    @pytest.mark.parametrize("tol", [-1.0, -np.inf, np.nan])
+    def test_rejects_negative_or_nan_tolerance(self, tol):
+        # each was scored as an F1 of 0 for an exact hit
+        with pytest.raises(ValueError, match="tolerance"):
+            ev.match_changes([10.0, 50.0], [10.0, 52.0], tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["detected", "truth"])
+    def test_rejects_non_finite_times(self, side, bad):
+        # a NaN detection was counted as one more miss
+        times = {"detected": [10.0, 50.0], "truth": [10.0, 52.0]}
+        times[side] = times[side] + [bad]
+        with pytest.raises(ValueError, match=f"{side} times"):
+            ev.match_changes(times["detected"], times["truth"], 5.0)
+
 
 class TestPrecisionRecallF1:
     def score(self, det, truth, tol=5.0):
@@ -88,6 +107,12 @@ class TestRocSweep:
             ev.roc_sweep(np.zeros(300), [], cfg, [])
         with pytest.raises(ValueError):
             ev.roc_sweep(np.zeros(300), [], cfg, [-1.0])
+
+    def test_rejects_negative_tolerance(self):
+        X, truth = cp.generate_piecewise_gaussian(
+            0, [(150, 0.0, 1.0), (150, 4.0, 1.0)])
+        with pytest.raises(ValueError, match="tolerance"):
+            ev.roc_sweep(X, truth, cp.DetectionConfig(), [100.0], tolerance=-1.0)
 
 
 class TestBenchmarkMap:

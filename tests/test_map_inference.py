@@ -90,11 +90,45 @@ THRESHOLD_DIAGONALS = (1e-12 * (1 - 1e-9), 1e-12, 1e-12 * (1 + 1e-9),
                        1 - 1e-12, 1.0, 1 + 1e-12)
 
 
-def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed):
+# Where greedy_case's shift puts lambda_min: 1 + s * PSD_TOL * max(1, max L_ii),
+# below, at and above the margin of greedy_map's certificate
+CERTIFICATE_SHIFTS = (-10.0, -1.0, 0.5, 1.0, 2.0, 10.0, 1e4)
+
+
+def shift_lambda_min(K, s):
+    """K + c I with lambda_min = 1 + s * PSD_TOL * max(1, max diagonal)."""
+    lam, top, a = np.linalg.eigvalsh(K)[0], K.diagonal().max(), s * mc.PSD_TOL
+    c = (1.0 + a * top - lam) / (1.0 - a)
+    if top + c < 1.0:
+        c = 1.0 + a - lam
+    return K + c * np.eye(K.shape[0])
+
+
+def spy_cholesky(monkeypatch):
+    """Patch np.linalg.cholesky to record, per call, the matrix's size and
+    whether it factored."""
+    rows = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M):
+        try:
+            F = cholesky(M)
+        except np.linalg.LinAlgError:
+            rows.append((M.shape[0], False))
+            raise
+        rows.append((M.shape[0], True))
+        return F
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return rows
+
+
+def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed, shift=None):
     """A synthetic kernel, optionally scaled like map_sparse (divided by the
     90th-percentile diagonal) or to a diagonal around UNSELECTABLE_DIAG,
     with its diagonal optionally rounded up to a coarse grid (many exact
-    ties), extended by isolated items and symmetrically permuted."""
+    ties), extended by isolated items and symmetrically permuted; a shift
+    then optionally moves its diagonal (shift_lambda_min)."""
     L, _ = synthetic(N=N, seed=seed, overlaps=(0, 2, 4), blocks=(5, 15),
                      d=N + 10)
     L = np.array(L)   # the kernel's L is read-only
@@ -110,7 +144,8 @@ def greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed):
     K[:N, :N] = L
     K[np.arange(N, n), np.arange(N, n)] = isolated
     p = np.random.default_rng(perm_seed).permutation(n)
-    return K[np.ix_(p, p)]
+    K = K[np.ix_(p, p)]
+    return K if shift is None else shift_lambda_min(K, shift)
 
 
 class TestGreedyMap:
@@ -148,34 +183,59 @@ class TestGreedyMap:
         assert mi.greedy_map(np.zeros((0, 0))).size == 0
 
     @settings(deadline=None, max_examples=60)
-    @given(N=st.integers(10, 70), seed=st.integers(0, 2**31 - 1),
+    @given(N=st.integers(10, mi.CERTIFY_MAX_DIM + 20),
+           seed=st.integers(0, 2**31 - 1),
            sparse=st.booleans(), ties=st.booleans(), tiny=st.booleans(),
            isolated=st.lists(st.sampled_from(THRESHOLD_DIAGONALS), max_size=6),
-           perm_seed=st.integers(0, 2**31 - 1), gain=st.booleans())
+           perm_seed=st.integers(0, 2**31 - 1), gain=st.booleans(),
+           shift=st.none() | st.sampled_from(CERTIFICATE_SHIFTS))
     def test_same_picks_as_downdate(self, N, seed, sparse, ties, tiny,
-                                    isolated, perm_seed, gain):
-        L = greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed)
+                                    isolated, perm_seed, gain, shift):
+        L = greedy_case(N, seed, sparse, ties, tiny, isolated, perm_seed, shift)
         assert np.array_equal(mi.greedy_map(L, require_initial_gain=gain),
                               greedy_downdate(L, require_initial_gain=gain))
+
+    @pytest.mark.parametrize("n, s, factors", [
+        (40, 0.5, [(40, False)] * 2),        # below the margin: tried, fails
+        (40, 2.0, [(40, True)] * 2),         # above it: certified
+        (mi.CERTIFY_MAX_DIM + 1, 1e4, []),   # above the cap: never tried
+    ])
+    def test_certificate_margin_and_cap(self, monkeypatch, n, s, factors):
+        # lambda_min(L) > 1 in every case, so greedy takes every item
+        L = shift_lambda_min(random_spd(n, 7), s)
+        rows = spy_cholesky(monkeypatch)
+        for gain in (False, True):
+            assert np.array_equal(mi.greedy_map(L, require_initial_gain=gain),
+                                  np.arange(n))
+        assert rows == factors
+
+    def test_no_factor_with_a_diagonal_entry_at_most_one(self, monkeypatch):
+        # map_sparse-style scaling: one diagonal entry in ten exceeds 1
+        L = greedy_case(100, 3, True, False, False, [], 0)
+        assert L.shape[0] <= mi.CERTIFY_MAX_DIM
+        rows = spy_cholesky(monkeypatch)
+        assert np.array_equal(mi.greedy_map(L), greedy_downdate(L))
+        assert rows == []
 
     def test_never_picks_zero_diagonal(self):
         L = np.diag([2.0, 0.0, 3.0])
         assert np.array_equal(mi.greedy_map(L), [0, 2])
 
-    def test_factor_grows_with_picks(self):
+    def test_factor_grows_with_picks(self, monkeypatch):
         # rank 40, n=1500: 1493 diagonal entries exceed 1, but greedy stops
         # after 34 picks, so a factor sized by the diagonal would be ~44x
         # larger than the rows it uses
         B = np.random.default_rng(0).standard_normal((40, 1500))
         L = B.T @ B / 20
         assert np.count_nonzero(np.diagonal(L) > 1) == 1493
+        rows = spy_cholesky(monkeypatch)   # above the cap: no certificate
         tracemalloc.start()
         try:
             sel = mi.greedy_map(L)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sel.size == 34
+        assert sel.size == 34 and rows == []
         used = sel.size * L.shape[0] * 8
         assert peak < 4 * used, (peak, used)
 
@@ -522,6 +582,14 @@ def candidate_kernel_14():
     return km.CandidateKernel(t, rng.uniform(1.0, 2.5, 14), 1.0)
 
 
+def candidate_kernel_certified():
+    """A 14-item CandidateKernel, q in [1.5, 2.5], whose items lie 1.2 sigma
+    apart, so that lambda_min(L) > 1 and greedy_map certifies it whole."""
+    rng = np.random.default_rng(9)
+    t = np.cumsum(rng.uniform(1.2, 2.0, 14))
+    return km.CandidateKernel(t, rng.uniform(1.5, 2.5, 14), 1.0)
+
+
 # the public calls that read a kernel, each with what it returns as an array
 KERNEL_CALLS = {
     "greedy": mi.greedy_map,
@@ -543,10 +611,19 @@ class TestDppKernelEntry:
     @pytest.mark.parametrize("make", [
         lambda: km.DppKernel(L=random_spd(14, 3, scale=3.0)),
         candidate_kernel_14,
-    ], ids=["dense", "candidate"])
+        candidate_kernel_certified,
+    ], ids=["dense", "candidate", "candidate_certified"])
     def test_kernel_and_its_matrix_agree(self, run, make):
         kern = make()
         assert np.array_equal(run(kern), run(np.asarray(kern)))
+
+    def test_certified_candidate_is_certified(self):
+        kern = candidate_kernel_certified()
+        L = np.asarray(kern)
+        margin = 1.0 + mc.PSD_TOL * L.diagonal().max()
+        assert kern.shape[0] <= mi.CERTIFY_MAX_DIM
+        assert np.linalg.eigvalsh(L)[0] > margin
+        assert np.array_equal(mi.greedy_map(kern), np.arange(14))
 
     def test_candidate_case_takes_schur_steps(self):
         kern = candidate_kernel_14()
