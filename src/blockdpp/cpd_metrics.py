@@ -129,33 +129,36 @@ def _gauss_loglik(s: SegmentStats, delta_reg: float):
                              - delta_reg * trace_inv)
 
 
-def split_dissimilarity(X, lo, mid, hi, metric: str = "symkl",
-                        delta_reg: float = DEFAULT_DELTA_REG) -> np.ndarray:
-    """d(x[lo:mid], x[mid:hi]) for arrays of split positions, all at once.
+def window_dissimilarity(X, start, stop, left, right, metric: str = "symkl",
+                         delta_reg: float = DEFAULT_DELTA_REG) -> np.ndarray:
+    """d(x[start[l]:stop[l]], x[start[r]:stop[r]]) for the index pairs (left, right).
 
     The series is centred once and every window's mean and covariance come
     from prefix sums: O(T * D^2) set-up, then one batched Cholesky
     (matrix_core.inverse_logdet_spd) for the inverses and log-determinants,
-    once per distinct window (the profile's right window at t is its left
-    window at t+w).  A window with fewer than 2 samples raises ValueError;
-    a covariance that is not positive definite to tolerance raises
-    SingularToTolerance.
+    once per listed window.  glr_gaussian pools x[start[l]:stop[r]].  A
+    window outside [0, T] or with fewer than 2 samples, or a pair index
+    outside the window list, raises ValueError; a covariance that is not
+    positive definite to tolerance raises SingularToTolerance.
     """
     if metric not in ("symkl", "glr_gaussian"):
         raise ValueError(f"unknown series metric {metric!r}")
     _, S1, S2 = _prefix_moments(as_series(X))
-    lo, mid, hi = np.broadcast_arrays(
-        *(np.asarray(i, dtype=np.int64) for i in (lo, mid, hi)))
-    n1 = S1.shape[0]   # a window [a, b) has key a * n1 + b
-    keys, which = np.unique(
-        np.concatenate([lo * n1 + mid, mid * n1 + hi], axis=None), return_inverse=True)
-    left, right = which.reshape((2,) + lo.shape)
-    win = _window_stats(S1, S2, keys // n1, keys % n1, delta_reg)
+    start, stop, left, right = (np.asarray(i, dtype=np.int64)
+                                for i in (start, stop, left, right))
+    T, n = S1.shape[0] - 1, start.size
+    # a negative index would wrap around S1 or the window list
+    if (start.ndim != 1 or stop.shape != start.shape
+            or np.any(start < 0) or np.any(stop > T)):
+        raise ValueError(f"windows must be two 1-D bound arrays within [0, {T}]")
+    if np.any((left < 0) | (left >= n) | (right < 0) | (right >= n)):
+        raise ValueError(f"pair indices must lie within [0, {n})")
+    win = _window_stats(S1, S2, start, stop, delta_reg)
     if metric == "symkl":
         inv, _ = mc.inverse_logdet_spd(win.cov)
         return _symkl(win.mean, win.cov, inv, left, right)
     loglik = _gauss_loglik(win, delta_reg)
-    pooled = _window_stats(S1, S2, lo, hi, delta_reg)
+    pooled = _window_stats(S1, S2, start[left], stop[right], delta_reg)
     return loglik[left] + loglik[right] - _gauss_loglik(pooled, delta_reg)
 
 
@@ -215,7 +218,8 @@ class DissimilarityProfile:
 def dissimilarity_profile(X, window: int, metric: str = "symkl",
                           delta_reg: float = DEFAULT_DELTA_REG) -> DissimilarityProfile:
     """Adjacent-window dissimilarity d(x[t-w:t], x[t:t+w]) for t in [w, T-w];
-    w counts samples, and one that is not a whole number raises ValueError."""
+    w counts samples, and one that is not a whole number raises ValueError.
+    Each of the T - w + 1 sliding windows is factored once."""
     if not float(window).is_integer():
         raise ValueError(f"window must be a whole number of samples, got {window}")
     A = as_series(X)
@@ -228,9 +232,9 @@ def dissimilarity_profile(X, window: int, metric: str = "symkl",
     if w <= D:
         raise ValueError(f"window w={w} must exceed the dimension D={D}: "
                          "every window covariance would be rank-deficient")
-    ts = np.arange(w, T - w + 1)
-    vals = split_dissimilarity(A, ts - w, ts, ts + w, metric, delta_reg)
-    return DissimilarityProfile(window=w, times=ts, values=vals)
+    s = np.arange(T - w + 1)   # the sliding windows [s, s + w)
+    vals = window_dissimilarity(A, s, s + w, s[:-w], s[w:], metric, delta_reg)
+    return DissimilarityProfile(window=w, times=s[w:], values=vals)
 
 
 def poisson_profile(E, window: float, step: float = 1.0) -> DissimilarityProfile:

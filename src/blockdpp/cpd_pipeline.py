@@ -124,8 +124,10 @@ def candidate_quality(X, cand: CandidateSet, cfg: DetectionConfig):
     A = metrics.as_series(X)
     ts = cand.times.astype(np.int64)
     bounds = np.concatenate([[0], ts, [A.shape[0]]])
-    metric = lambda lo, mid, hi: metrics.split_dissimilarity(
-        A, lo, mid, hi, cfg.metric, cfg.delta_reg)
+    metric = lambda lo, mid, hi: metrics.window_dissimilarity(  # split i: 2i | 2i + 1
+        A, np.ravel([lo, mid], "F"), np.ravel([mid, hi], "F"),
+        np.arange(0, 2 * mid.size, 2), np.arange(1, 2 * mid.size, 2),
+        cfg.metric, cfg.delta_reg)
     return _split_quality(bounds[:-2], ts, bounds[2:], A.shape[0], metric, cfg)
 
 
@@ -160,6 +162,7 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
 
 def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> DetectionReport:
     """Full pipeline on a (T, D) series: profile, candidates, kernel, selection."""
+    _check_entry(cfg, detect_change_points)
     A = metrics.as_series(X)
     return _detect(cfg, lambda: metrics.dissimilarity_profile(
                        A, cfg.window, cfg.metric, cfg.delta_reg),
@@ -168,6 +171,7 @@ def detect_change_points(X, cfg: DetectionConfig = DetectionConfig()) -> Detecti
 
 def detect_change_points_events(E, cfg: DetectionConfig) -> DetectionReport:
     """Pipeline variant for event sequences with the Poisson GLR metric."""
+    _check_entry(cfg, detect_change_points_events)
     e = metrics.as_events(E)
     return _detect(cfg, lambda: metrics.poisson_profile(e, cfg.window,
                                                         cfg.event_step),
@@ -178,6 +182,14 @@ def detector(metric: str):
     """The pipeline for a metric: glr_poisson reads events, the rest a series."""
     return (detect_change_points_events if metric == "glr_poisson"
             else detect_change_points)
+
+
+def _check_entry(cfg: DetectionConfig, entry):
+    """Reject a config whose metric the other pipeline runs."""
+    want = detector(cfg.metric)
+    if want is not entry:
+        raise ValueError(f"metric {cfg.metric!r} runs through {want.__name__}, "
+                         f"not {entry.__name__}")
 
 
 def _detect(cfg: DetectionConfig, profile, quality) -> DetectionReport:

@@ -16,11 +16,11 @@ def stats(mean, cov):
 
 
 def glr_gaussian(X1, X2):
-    """The Gaussian GLR of two segments: the split metric on their stack."""
+    """The Gaussian GLR of two segments: the window metric on their stack."""
     A1, A2 = cm.as_series(X1), cm.as_series(X2)
     M = len(A1)
-    return float(cm.split_dissimilarity(np.vstack([A1, A2]), 0, M, M + len(A2),
-                                        "glr_gaussian"))
+    return float(cm.window_dissimilarity(np.vstack([A1, A2]), [0, M],
+                                         [M, M + len(A2)], 0, 1, "glr_gaussian"))
 
 
 class TestSeriesCoercion:
@@ -284,8 +284,9 @@ class TestEngineAgainstLoops:
 
 
 def split_every_window(X, lo, mid, hi, metric, delta_reg=cm.DEFAULT_DELTA_REG):
-    """split_dissimilarity inverting the left and the right window of every
-    split, shared or not: the batched formula before windows were deduplicated."""
+    """The metric of the splits [lo, mid) | [mid, hi), inverting the left and
+    the right window of every split, shared or not: the batched formula
+    before each window was factored once."""
     _, S1, S2 = cm._prefix_moments(cm.as_series(X))
     left = cm._window_stats(S1, S2, lo, mid, delta_reg)
     right = cm._window_stats(S1, S2, mid, hi, delta_reg)
@@ -347,6 +348,66 @@ class TestDistinctWindows:
         assert np.array_equal(q, q_ref) and flags == flags_ref and flags
 
     def test_scalar_split(self, series):
-        d = cm.split_dissimilarity(series, 0, 100, 250, "glr_gaussian")
+        d = cm.window_dissimilarity(series, [0, 100], [100, 250], 0, 1,
+                                    "glr_gaussian")
         assert d.shape == ()
         assert d == split_every_window(series, 0, 100, 250, "glr_gaussian")
+
+
+class TestWindowDissimilarity:
+    """The engine over caller-named windows and the pairs to compare."""
+
+    SERIES = {D: cp.generate_piecewise_gaussian(
+        D, [(40, np.zeros(D), 1.0), (40, np.full(D, 2.0), 0.5),
+            (40, np.zeros(D), 2.0)])[0] + 1e5 for D in (1, 3)}
+
+    @pytest.mark.parametrize("start, stop", [
+        ([-95, 10], [10, 20]),     # S1[-95] would wrap to row 6
+        ([0, 50], [50, 101]),      # past the end of a T=100 series
+        ([[0, 50]], [[50, 100]]),  # not a 1-D list of windows
+        ([0, 50], [50]),           # bounds of different lengths
+    ])
+    def test_window_outside_the_series_raises(self, start, stop):
+        X = np.random.default_rng(14).standard_normal(100)
+        with pytest.raises(ValueError, match="windows must be"):
+            cm.window_dissimilarity(X, start, stop, 0, 1)
+
+    @pytest.mark.parametrize("left, right", [(-1, 1), (0, 2), ([0, 1], [1, -2])])
+    def test_pair_index_outside_the_window_list_raises(self, left, right):
+        X = np.random.default_rng(15).standard_normal(100)
+        with pytest.raises(ValueError, match="pair indices"):
+            cm.window_dissimilarity(X, [0, 50], [50, 100], left, right)
+
+    def test_each_profile_window_is_factored_once(self, monkeypatch):
+        stacks = []
+        factor = mc.inverse_logdet_spd
+
+        def spy(C):
+            stacks.append(np.shape(C)[:-2])
+            return factor(C)
+        monkeypatch.setattr(mc, "inverse_logdet_spd", spy)
+        T, w = 120, 10
+        cm.dissimilarity_profile(self.SERIES[3], w, "symkl")
+        assert stacks == [(T - w + 1,)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(D=st.sampled_from([1, 3]),
+           metric=st.sampled_from(["symkl", "glr_gaussian"]),
+           gaps=st.lists(st.integers(5, 20), min_size=3, max_size=6),
+           shape=st.sampled_from(["scalar", "1-D", "2-D"]), data=st.data())
+    def test_any_pairs_match_every_window(self, D, metric, gaps, shape, data):
+        # window j is [b[j], b[j + 1]); split i compares windows i and i + 1,
+        # so splits 0 and 1 share window 1
+        b = np.cumsum([0] + gaps)
+        k = len(gaps)
+        order = np.array(data.draw(st.permutations(range(k))))
+        pos = np.argsort(order)    # where window j sits in the list
+        split = data.draw(st.lists(st.integers(0, k - 2), max_size=6)) + [0, 1]
+        split = np.array(data.draw(st.permutations(split)))   # repeats stay
+        split = {"scalar": split[0], "1-D": split, "2-D": split[:, None]}[shape]
+        X = self.SERIES[D]
+        got = cm.window_dissimilarity(X, b[:-1][order], b[1:][order],
+                                      pos[split], pos[split + 1], metric)
+        want = split_every_window(X, b[split], b[split + 1], b[split + 2], metric)
+        assert np.shape(got) == np.shape(split)
+        assert np.array_equal(got, want)

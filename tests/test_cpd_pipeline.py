@@ -500,3 +500,14 @@ class TestDetector:
         assert cp.detector("glr_poisson") is cp.detect_change_points_events
         for metric in set(cm.METRICS) - {"glr_poisson"}:
             assert cp.detector(metric) is cp.detect_change_points
+
+    def test_event_entry_rejects_a_series_metric(self):
+        # the report would claim symkl for a Poisson GLR run
+        E, _ = cp.generate_poisson_events(10, [(100, 1.0), (100, 5.0)])
+        with pytest.raises(ValueError, match="through detect_change_points,"):
+            cp.detect_change_points_events(E, cp.DetectionConfig(window=20))
+
+    def test_series_entry_rejects_the_event_metric(self):
+        X, _ = cp.generate_piecewise_gaussian(3, [(150, 0.0, 1.0), (150, 3.0, 1.0)])
+        with pytest.raises(ValueError, match="through detect_change_points_events"):
+            cp.detect_change_points(X, cp.DetectionConfig(metric="glr_poisson"))
