@@ -137,15 +137,16 @@ def window_dissimilarity(X, start, stop, left, right, metric: str = "symkl",
     from prefix sums: O(T * D^2) set-up, then one batched Cholesky
     (matrix_core.inverse_logdet_spd) for the inverses and log-determinants,
     once per listed window.  glr_gaussian pools x[start[l]:stop[r]].  A
-    window outside [0, T] or with fewer than 2 samples, or a pair index
-    outside the window list, raises ValueError; a covariance that is not
-    positive definite to tolerance raises SingularToTolerance.
+    bound or pair index that is not an integer, a window outside [0, T] or
+    with fewer than 2 samples, or a pair index outside the window list,
+    raises ValueError; a covariance that is not positive definite to
+    tolerance raises SingularToTolerance.
     """
     if metric not in ("symkl", "glr_gaussian"):
         raise ValueError(f"unknown series metric {metric!r}")
     _, S1, S2 = _prefix_moments(as_series(X))
-    start, stop, left, right = (np.asarray(i, dtype=np.int64)
-                                for i in (start, stop, left, right))
+    start, stop = (mc.as_integers(b, "window bounds") for b in (start, stop))
+    left, right = (mc.as_integers(i, "pair indices") for i in (left, right))
     T, n = S1.shape[0] - 1, start.size
     # a negative index would wrap around S1 or the window list
     if (start.ndim != 1 or stop.shape != start.shape
@@ -241,13 +242,14 @@ def poisson_profile(E, window: float, step: float = 1.0) -> DissimilarityProfile
     """GLR profile over an event sequence using time windows of width `window`.
 
     Evaluated on a uniform grid between the first and last event; windows
-    holding fewer than 2 events contribute 0 (no evidence).
+    holding fewer than 2 events contribute 0 (no evidence).  A window or
+    step that is not positive and finite (NaN included) raises ValueError.
     """
     e = as_events(E)
     if e.size < 2:
         raise ValueError("need at least 2 events")
-    if window <= 0 or step <= 0:
-        raise ValueError("window and step must be positive")
+    if not (0 < window < np.inf and 0 < step < np.inf):   # NaN fails both
+        raise ValueError("window and step must be positive and finite")
     lo, hi = e[0] + window, e[-1] - window
     if hi < lo:
         raise ValueError("event span too short for the window")

@@ -63,18 +63,19 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     If it fails, the loop below runs as if it had not been tried.
 
     Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
-    row t of the Cholesky factor of the picks, extended over all N items,
-    and d holds the conditional diagonal given the picks.  O(N k^2) time
-    and O(k N) memory for k picks.  L goes through km.as_kernel, and the
-    loop reads only its diagonal and one row per pick; no N x N array is
-    built unless the certificate is tried.
+    row t of the Cholesky factor of the picks, and d holds the conditional
+    diagonal given the picks.  Conditional diagonals only shrink and every
+    pick after the first needs one above 1, so after the first pick, the
+    global argmax, only G, the items with L_ii > 1, can be picked: d and C
+    span G alone, and a first pick with diagonal at most 1 comes alone.
+    O(|G| k^2) time and O(k |G|) memory for k picks.  L goes through
+    km.as_kernel, and the loop reads only its diagonal and one row per pick;
+    no N x N array is built unless the certificate is tried.
     """
     A = km.as_kernel(L)
-    d = A.diagonal().copy()
-    # conditional diagonals only shrink, so only items with A_ii > 1 can
-    # follow the first pick
-    gains = int(np.count_nonzero(d > 1.0))
-    if 0 < gains == d.size <= CERTIFY_MAX_DIM:
+    d = A.diagonal()
+    G = (d > 1.0).nonzero()[0]
+    if 0 < G.size == d.size <= CERTIFY_MAX_DIM:
         M = np.array(A)   # a new dense array to write to
         M.flat[::d.size + 1] -= 1.0 + mc.PSD_TOL * max(1.0, d.max())
         try:
@@ -82,8 +83,12 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
             return np.arange(d.size, dtype=np.int64)
         except np.linalg.LinAlgError:
             pass
+    max_picks = G.size or min(d.size, 1)
+    if 0 < G.size < d.size:
+        items, d = G, d[G]
+    else:   # every item or none is in G: the loop runs over all, no gather
+        items, G, d = range(d.size), slice(None), d.copy()
     # C starts at 32 rows and doubles up to the bound on the picks
-    max_picks = min(d.size, 1 + gains)
     C = np.empty((min(max_picks, 32), d.size))
     picks: List[int] = []
     floor = 1.0 if require_initial_gain else UNSELECTABLE_DIAG
@@ -92,7 +97,7 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
         dj = d[j]
         if not dj > floor:
             break
-        e = (A[j] - np.dot(C[:k, j], C[:k])) * (1.0 / math.sqrt(dj))
+        e = (A[items[j]][G] - np.dot(C[:k, j], C[:k])) * (1.0 / math.sqrt(dj))
         if k == C.shape[0]:
             # in place (realloc), as no view of C outlives an iteration; a
             # new buffer per doubling made glibc keep megabytes of freed heap
@@ -100,7 +105,7 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
         C[k] = e
         d -= e * e
         d[j] = -np.inf
-        picks.append(j)
+        picks.append(items[j])
         floor = 1.0
     picks.sort()
     return np.array(picks, dtype=np.int64)

@@ -110,19 +110,26 @@ def as_psd(M) -> np.ndarray:
     return A
 
 
+def as_integers(values, what: str) -> np.ndarray:
+    """values as an int64 array of their shape; a value that is not an
+    integer, or a boolean mask, raises ValueError naming what they are."""
+    a = np.asarray(values)
+    if a.dtype == np.int64:                  # an int64 array needs no check
+        return a
+    if a.dtype == bool:                      # its 0s and 1s are not items
+        raise ValueError(f"{what} must hold integers, not a boolean mask")
+    with np.errstate(invalid="ignore"):      # NaN and inf fail the test below
+        i = a.astype(np.int64)
+    if not (i == a).all():
+        raise ValueError(f"{what} must hold integers")
+    return i
+
+
 def as_index_set(idx, n: int) -> np.ndarray:
     """Validate a strictly increasing 0-based index set for an n x n matrix,
     returned as int64; a value that is not an integer, or a boolean mask,
     raises ValueError."""
-    a = np.asarray(idx).ravel()
-    if a.dtype != np.int64:                  # an int64 array needs no check
-        if a.dtype == bool:                  # its 0s and 1s are not items
-            raise ValueError("index set must hold integers, not a boolean mask")
-        with np.errstate(invalid="ignore"):   # NaN and inf fail the test below
-            i = a.astype(np.int64)
-        if not (i == a).all():
-            raise ValueError("index set must hold integers")
-        a = i
+    a = as_integers(idx, "index set").ravel()
     if a.size:
         if (a[1:] <= a[:-1]).any():
             raise ValueError("index set must be strictly increasing")

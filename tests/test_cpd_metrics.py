@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,16 @@ class TestProfiles:
         with pytest.raises(ValueError):
             cm.poisson_profile([0.0, 100.0], -1.0)
 
+    @pytest.mark.parametrize("window, step", [
+        (np.nan, 1.0), (5.0, np.nan), (np.inf, 1.0), (5.0, np.inf), (5.0, 0.0),
+    ])
+    def test_poisson_profile_rejects_nan_and_inf(self, window, step):
+        e = np.arange(100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # np.arange warns on step=inf
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                cm.poisson_profile(e, window, step)
+
     def test_window_must_exceed_dimension(self):
         X = np.random.default_rng(10).standard_normal((300, 80))
         with pytest.raises(ValueError, match=r"w=50.*D=80"):
@@ -377,6 +389,24 @@ class TestWindowDissimilarity:
         X = np.random.default_rng(15).standard_normal(100)
         with pytest.raises(ValueError, match="pair indices"):
             cm.window_dissimilarity(X, [0, 50], [50, 100], left, right)
+
+    @pytest.mark.parametrize("start, stop, left, right, what", [
+        ([0.9, 50.5], [50.7, 100.2], 0, 1, "window bounds"),  # not [0, 50) | [50, 100)
+        ([0, 50.0], [50, 100.5], 0, 1, "window bounds"),
+        ([0, 50], [50, 100], 0.5, 1, "pair indices"),
+        ([0, 50], [50, 100], 0, [1.0, np.nan], "pair indices"),
+        ([True, False], [50, 100], 0, 1, "window bounds"),
+    ])
+    def test_bound_or_pair_index_not_an_integer_raises(self, start, stop, left,
+                                                       right, what):
+        X = np.random.default_rng(16).standard_normal(100)
+        with pytest.raises(ValueError, match=f"{what} must hold integers"):
+            cm.window_dissimilarity(X, start, stop, left, right)
+
+    def test_integral_float_bounds_are_the_integer_ones(self):
+        X = np.random.default_rng(16).standard_normal(100)
+        assert (cm.window_dissimilarity(X, [0.0, 50.0], [50.0, 100.0], 0, 1)
+                == cm.window_dissimilarity(X, [0, 50], [50, 100], 0, 1))
 
     def test_each_profile_window_is_factored_once(self, monkeypatch):
         stacks = []

@@ -19,6 +19,22 @@ def block_diag_kernel():
     return L
 
 
+# Entries for the reach scan's edges: in (0, eps_zero] or -0.0 (never a
+# nonzero), NaN (held, but |NaN| > eps_zero fails), and negative beyond
+# eps_zero (a nonzero)
+FAR_VALUES = (km.DEFAULT_EPS_ZERO, km.DEFAULT_EPS_ZERO / 2, -0.0, np.nan,
+              -2 * km.DEFAULT_EPS_ZERO, -0.5)
+
+
+def dense_reach(L, eps_zero=km.DEFAULT_EPS_ZERO):
+    """reach[r]: the last column c >= r with |L_rc| > eps_zero, or r, from
+    the whole upper triangle at once."""
+    nz = np.triu(np.abs(L) > eps_zero)
+    n = L.shape[0]
+    last = n - 1 - np.argmax(nz[:, ::-1], axis=1)
+    return np.where(nz.any(axis=1), last, np.arange(n))
+
+
 class TestBlockPartition:
     def test_basic_properties(self):
         p = km.BlockPartition((3, 4), gamma=2)
@@ -482,6 +498,24 @@ class TestGammaPartition:
                 km._invalid_cuts(km.DppKernel(L=L), gamma, km.DEFAULT_EPS_ZERO),
                 oracle.invalid_cuts(L, gamma))
 
+    @pytest.mark.parametrize("n", [2 * km.REACH_TILE + 10, 3 * km.REACH_TILE])
+    @pytest.mark.parametrize("far", FAR_VALUES)
+    def test_reach_past_each_panels_last_nonzero(self, n, far):
+        # panel 1's last column != 0 holds only far (but for -0.0, which is
+        # not held), panel 2 is all zero, and panel 3 ends in far too
+        T = km.REACH_TILE
+        L = np.eye(n)
+        L[5, 40] = L[40, 5] = 0.5
+        L[10, n - 1] = L[n - 1, 10] = far
+        L[2 * T + 1, n - 2] = L[n - 2, 2 * T + 1] = far
+        L[T:2 * T] = L[:, T:2 * T] = 0.0
+        # read as gamma_partition reads a raw array, unscanned: NaN passes
+        assert np.array_equal(km._reach(L, km.DEFAULT_EPS_ZERO), dense_reach(L))
+        for gamma in (0, 3):
+            assert np.array_equal(
+                km._invalid_cuts(km.DppKernel._wrap(L), gamma, km.DEFAULT_EPS_ZERO),
+                oracle.invalid_cuts(L, gamma))
+
     # N up to past two reach panels, so that panel edges are drawn too
     @settings(deadline=None, max_examples=200)
     @given(N=st.integers(1, 2 * km.REACH_TILE + 40), low=st.integers(1, 6),
@@ -489,7 +523,8 @@ class TestGammaPartition:
            overlaps=st.sets(st.integers(0, 5), min_size=1),
            seed=st.integers(0, 2**31 - 1),
            far=st.lists(st.tuples(st.integers(0, 2 * km.REACH_TILE + 39),
-                                  st.integers(0, 2 * km.REACH_TILE + 39)),
+                                  st.integers(0, 2 * km.REACH_TILE + 39),
+                                  st.sampled_from((1.0,) + FAR_VALUES)),
                         max_size=4),
            zero_rows=st.lists(st.integers(0, 2 * km.REACH_TILE + 39),
                               max_size=4),
@@ -501,11 +536,12 @@ class TestGammaPartition:
             overlap_choices=tuple(sorted(overlaps)), feature_dim=8, seed=seed))
         L = np.array(kern.L)   # the kernel's L is read-only
         n = L.shape[0]
-        for i, j in far:
-            L[i % n, j % n] = L[j % n, i % n] = 1.0
+        for i, j, v in far:
+            L[i % n, j % n] = L[j % n, i % n] = v
         for i in zero_rows:
             L[i % n] = L[:, i % n] = 0.0
-        assert np.array_equal(km._invalid_cuts(km.DppKernel(L=L), gamma,
+        # read as gamma_partition reads a raw array, unscanned: NaN passes
+        assert np.array_equal(km._invalid_cuts(km.DppKernel._wrap(L), gamma,
                                                km.DEFAULT_EPS_ZERO),
                               oracle.invalid_cuts(L, gamma))
 

@@ -217,6 +217,43 @@ class TestGreedyMap:
         assert np.array_equal(mi.greedy_map(L), greedy_downdate(L))
         assert rows == []
 
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, mi.CERTIFY_MAX_DIM + 40),
+           seed=st.integers(0, 2**31 - 1),
+           q_range=st.sampled_from([(0.3, 0.99), (0.5, 1.6), (1.01, 2.0)]),
+           sigma=st.sampled_from([0.5, 2.0, 8.0]), gain=st.booleans())
+    def test_candidate_kernel_same_picks_as_downdate(self, n, seed, q_range,
+                                                     sigma, gain):
+        # qualities all at most 1 (no item can follow the first pick), mixed
+        # (greedy spans the items with L_ii > 1) and all above 1 (all items)
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.2, 3.0, n))
+        kern = km.CandidateKernel(t, rng.uniform(*q_range, n), sigma)
+        assert np.array_equal(mi.greedy_map(kern, require_initial_gain=gain),
+                              greedy_downdate(np.asarray(kern),
+                                              require_initial_gain=gain))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_factor_spans_the_items_with_diagonal_above_one(self, monkeypatch,
+                                                            sparse):
+        # map_sparse scaling keeps about one item in ten with L_ii > 1; a
+        # kernel whose every item qualifies spans all of them
+        n = 3 * mi.CERTIFY_MAX_DIM   # above the cap: no certificate
+        L = greedy_case(n, 4, sparse, False, False, [], 0)
+        G = np.count_nonzero(np.diagonal(L) > 1.0)
+        assert (G < n / 5) if sparse else (G == n)
+        widths = []
+        dot = np.dot
+
+        def spy(a, b):
+            widths.append(np.shape(b)[-1])
+            return dot(a, b)
+        monkeypatch.setattr(np, "dot", spy)
+        sel = mi.greedy_map(L)
+        monkeypatch.undo()
+        assert set(widths) == {G} and len(widths) == sel.size
+        assert np.array_equal(sel, greedy_downdate(L))
+
     def test_never_picks_zero_diagonal(self):
         L = np.diag([2.0, 0.0, 3.0])
         assert np.array_equal(mi.greedy_map(L), [0, 2])
