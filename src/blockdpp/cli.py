@@ -24,18 +24,14 @@ from . import kernel_model as km
 from . import map_inference as mi
 
 
-def _positive_int(s: str) -> int:
-    v = int(s)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
-    return v
-
-
-def _nonneg_int(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s}")
-    return v
+def _int_from(lo: int):
+    """The argparse type of an integer flag whose least value is lo."""
+    def integer(s: str) -> int:
+        v = int(s)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {s}")
+        return v
+    return integer
 
 
 def _int_list(s: str):
@@ -69,12 +65,12 @@ def build_parser():
     lo, hi = spec.block_size_range
     ks = argparse.ArgumentParser(add_help=False)
     ks.add_argument("--seed", type=int, default=spec.seed)
-    ks.add_argument("--n", type=_positive_int, default=spec.N)
-    ks.add_argument("--block-min", type=_positive_int, default=lo)
-    ks.add_argument("--block-max", type=_positive_int, default=hi)
+    ks.add_argument("--n", type=_int_from(1), default=spec.N)
+    ks.add_argument("--block-min", type=_int_from(1), default=lo)
+    ks.add_argument("--block-max", type=_int_from(1), default=hi)
     ks.add_argument("--overlaps", type=_int_list,
                     default=list(spec.overlap_choices))
-    ks.add_argument("--feature-dim", type=_positive_int, default=spec.feature_dim)
+    ks.add_argument("--feature-dim", type=_int_from(1), default=spec.feature_dim)
 
     g = sub.add_parser("gen", help="generate synthetic kernels or series",
                        parents=[ks])
@@ -85,7 +81,7 @@ def build_parser():
     m = sub.add_parser("map", help="MAP inference on a kernel CSV")
     m.add_argument("--kernel")
     m.add_argument("--mode", choices=["full", "blockwise"], default="full")
-    m.add_argument("--gamma", type=_nonneg_int, default=0)
+    m.add_argument("--gamma", type=_int_from(0), default=0)
     m.add_argument("--oracle", action="store_true",
                    help="also run exhaustive search (kernel size <= 20)")
     m.add_argument("--require-initial-gain", action="store_true")
@@ -97,9 +93,9 @@ def build_parser():
     src = d.add_mutually_exclusive_group()
     src.add_argument("--series", help="time-series CSV")
     src.add_argument("--events", help="event-times CSV")
-    d.add_argument("-w", "--window", type=_positive_int, default=dc.window)
+    d.add_argument("-w", "--window", type=_int_from(1), default=dc.window)
     d.add_argument("--sigma", type=float, default=dc.sigma)
-    d.add_argument("--gamma", type=_nonneg_int, default=dc.gamma)
+    d.add_argument("--gamma", type=_int_from(0), default=dc.gamma)
     d.add_argument("--metric",
                    choices=[n.replace("_", "-") for n in metrics.METRICS],
                    default=dc.metric.replace("_", "-"))
@@ -127,13 +123,26 @@ def build_parser():
 
     b = sub.add_parser("bench", help="block-wise vs full-kernel benchmark",
                        parents=[ks])
-    b.add_argument("--kernels", type=_positive_int, default=50)
+    b.add_argument("--kernels", type=_int_from(1), default=50)
     b.add_argument("--gammas", type=_int_list, default=list(ev.BENCH_GAMMAS))
-    b.add_argument("--repeats", type=_positive_int, default=ev.BENCH_REPEATS)
+    b.add_argument("--repeats", type=_int_from(1), default=ev.BENCH_REPEATS)
     b.add_argument("--no-timing", action="store_true")
     b.add_argument("-o", "--output")
 
     return p, sub
+
+
+def _load_json(path, keys=(), each=False):
+    """The JSON in path: an object holding keys, or with each=True a list of
+    such objects.  Any other shape raises ValueError naming the file."""
+    data = bio.load_json(path)
+    objs = data if each else [data]
+    if not (isinstance(objs, list) and all(
+            isinstance(o, dict) and all(k in o for k in keys) for o in objs)):
+        shape = "a JSON list of objects" if each else "a JSON object"
+        held = f" with keys {', '.join(keys)}" if keys else ""
+        raise ValueError(f"{path}: expected {shape}{held}")
+    return data
 
 
 def _sibling(path: str, tag: str) -> Path:
@@ -149,15 +158,13 @@ def _cmd_gen(args) -> None:
         return
     if not args.segments:
         raise ValueError("--segments is required for gaussian/poisson generation")
-    spec = bio.load_json(args.segments)
     if args.kind == "gaussian":
-        segs = [(s["length"], s["mean"], s["cov"]) for s in spec]
-        X, truth = cpd.generate_piecewise_gaussian(args.seed, segs)
-        bio.save_csv(args.output, X)
+        keys, generate = ("length", "mean", "cov"), cpd.generate_piecewise_gaussian
     else:
-        segs = [(s["duration"], s["rate"]) for s in spec]
-        X, truth = cpd.generate_poisson_events(args.seed, segs)
-        bio.save_csv(args.output, X)
+        keys, generate = ("duration", "rate"), cpd.generate_poisson_events
+    spec = _load_json(args.segments, keys, each=True)
+    X, truth = generate(args.seed, [tuple(s[k] for k in keys) for s in spec])
+    bio.save_csv(args.output, X)
     bio.save_json(_sibling(args.output, "truth.json"),
                   {"changes": [float(t) for t in truth]})
 
@@ -213,9 +220,12 @@ def _cmd_detect(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    report = bio.load_json(args.report)
-    truth = bio.load_json(args.truth)["changes"]
-    cfg = cpd.DetectionConfig(**report["config"])
+    report = _load_json(args.report, ("config", "selected"))
+    truth = _load_json(args.truth, ("changes",))["changes"]
+    try:
+        cfg = cpd.DetectionConfig(**report["config"])
+    except TypeError as exc:   # not an object, an unknown key, a mistyped value
+        raise ValueError(f"{args.report}: bad config: {exc}") from None
     tol = cfg.window if args.tol is None else args.tol
     score = ev.precision_recall_f1(
         ev.match_changes(report["selected"], truth, tol))
@@ -275,9 +285,7 @@ def main(argv=None) -> int:
             # argparse-required: required flags go in _REQUIRED.
             sp = commands.choices[args.command]
             known = vars(sp.parse_args([]))
-            config = bio.load_json(args.config)
-            if not isinstance(config, dict):
-                raise ValueError(f"{args.config}: config must be a JSON object")
+            config = _load_json(args.config)
             sp.set_defaults(**{k: v for k, v in config.items() if k in known})
             args = parser.parse_args(argv)
         for dest in _REQUIRED[args.command]:

@@ -196,9 +196,10 @@ def glr_poisson(E1, E2) -> float:
 def poisson_split_glr(e: np.ndarray, lo, mid, hi) -> np.ndarray:
     """Poisson GLR of events e[lo:mid] against e[mid:hi], for index arrays.
 
-    Each window needs only its count and its first and last event.
+    Each window needs only its count and its first and last event.  An
+    index that is not an integer raises ValueError.
     """
-    lo, mid, hi = (np.asarray(i, dtype=np.int64) for i in (lo, mid, hi))
+    lo, mid, hi = (mc.as_integers(i, "split indices") for i in (lo, mid, hi))
     return _poisson_glr(mid - lo, e[mid - 1] - e[lo], hi - mid,
                         e[hi - 1] - e[mid], e[hi - 1] - e[lo])
 
@@ -207,7 +208,6 @@ def poisson_split_glr(e: np.ndarray, lo, mid, hi) -> np.ndarray:
 class DissimilarityProfile:
     """d values over candidate split times t in [w, T - w]."""
 
-    window: int
     times: np.ndarray   # candidate split positions
     values: np.ndarray
 
@@ -226,16 +226,14 @@ def dissimilarity_profile(X, window: int, metric: str = "symkl",
     A = as_series(X)
     T, D = A.shape
     w = int(window)
-    if w < 2:
-        raise ValueError("window must be at least 2")
     if T < 2 * w:
         raise ValueError(f"series of length {T} too short for window {w}")
-    if w <= D:
+    if w <= D:   # D >= 1, so this rejects w < 2 too
         raise ValueError(f"window w={w} must exceed the dimension D={D}: "
                          "every window covariance would be rank-deficient")
     s = np.arange(T - w + 1)   # the sliding windows [s, s + w)
     vals = window_dissimilarity(A, s, s + w, s[:-w], s[w:], metric, delta_reg)
-    return DissimilarityProfile(window=w, times=s[w:], values=vals)
+    return DissimilarityProfile(times=s[w:], values=vals)
 
 
 def poisson_profile(E, window: float, step: float = 1.0) -> DissimilarityProfile:
@@ -258,4 +256,4 @@ def poisson_profile(E, window: float, step: float = 1.0) -> DissimilarityProfile
     ok = (b - a >= 2) & (c - b >= 2)
     vals = np.zeros(ts.size)
     vals[ok] = poisson_split_glr(e, a[ok], b[ok], c[ok])
-    return DissimilarityProfile(window=int(np.ceil(window)), times=ts, values=vals)
+    return DissimilarityProfile(times=ts, values=vals)

@@ -17,6 +17,7 @@ import numpy as np
 from . import cpd_metrics as metrics
 from . import kernel_model as km
 from . import map_inference as mi
+from . import matrix_core as mc
 
 EPS_QUALITY = 1e-9
 
@@ -120,9 +121,10 @@ def _split_quality(lo, mid, hi, n: int, metric, cfg: DetectionConfig):
 def candidate_quality(X, cand: CandidateSet, cfg: DetectionConfig):
     """Per-candidate quality and flags from the metric on the segments
     between neighbouring candidates, the series ends as sentinels, through
-    _split_quality and q -> (gain * q / mean(q)) ** exponent."""
+    _split_quality and q -> (gain * q / mean(q)) ** exponent.  A candidate
+    time that is not an integer raises ValueError."""
     A = metrics.as_series(X)
-    ts = cand.times.astype(np.int64)
+    ts = mc.as_integers(cand.times, "candidate times")
     bounds = np.concatenate([[0], ts, [A.shape[0]]])
     metric = lambda lo, mid, hi: metrics.window_dissimilarity(  # split i: 2i | 2i + 1
         A, np.ravel([lo, mid], "F"), np.ravel([mid, hi], "F"),
@@ -154,8 +156,8 @@ def build_cpd_kernel(cand_times, q, sigma: float, gamma: int = 0,
     loop, so any eps_zero runs.  The partition's reach comes from the times
     too.
     """
-    if np.size(cand_times) != np.size(q) or np.size(q) == 0:
-        raise ValueError("need matching, nonempty candidates and qualities")
+    if np.size(cand_times) == 0:   # CandidateKernel checks that q matches
+        raise ValueError("need nonempty candidates and qualities")
     kern = km.CandidateKernel(cand_times, q, sigma, eps_zero)
     return kern, km.gamma_partition(kern, gamma, eps_zero)
 
@@ -233,8 +235,6 @@ def generate_piecewise_gaussian(seed: int, segments):
         raise ValueError("need at least one segment")
     rng = np.random.default_rng(seed)
     chunks = []
-    changes = []
-    total = 0
     for length, mean, cov in segs:
         length = int(length)
         if length < 2:
@@ -253,9 +253,7 @@ def generate_piecewise_gaussian(seed: int, segments):
         except np.linalg.LinAlgError:
             raise ValueError("segment covariance is not PSD") from None
         chunks.append(mu + rng.standard_normal((length, D)) @ F.T)
-        total += length
-        changes.append(total)
-    return np.vstack(chunks), np.asarray(changes[:-1], dtype=np.float64)
+    return np.vstack(chunks), np.cumsum([len(c) for c in chunks[:-1]], dtype=np.float64)
 
 
 def generate_poisson_events(seed: int, segments):

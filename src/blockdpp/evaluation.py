@@ -23,7 +23,6 @@ class MatchResult:
     pairs: List[Tuple[float, float]]        # (detected, truth)
     unmatched_detected: List[float]
     unmatched_truth: List[float]
-    tolerance: float
 
     @property
     def cfc(self) -> int:
@@ -58,11 +57,9 @@ def match_changes(detected, truth, tolerance: float) -> MatchResult:
     for name, times in (("detected", det), ("truth", tru)):
         if not np.isfinite(times).all():
             raise ValueError(f"{name} times contain non-finite values")
-    cands = sorted(
-        ((abs(d - t), t, i, j) for i, d in enumerate(det)
-         for j, t in enumerate(tru) if abs(d - t) <= tolerance),
-        key=lambda x: (x[0], x[1]),
-    )
+    # tuple order: distance, then truth time, then the indices
+    cands = sorted((abs(d - t), t, i, j) for i, d in enumerate(det)
+                   for j, t in enumerate(tru) if abs(d - t) <= tolerance)
     used_d, used_t = set(), set()   # indices, so repeated values count apart
     pairs = []
     for _, _, i, j in cands:
@@ -75,7 +72,6 @@ def match_changes(detected, truth, tolerance: float) -> MatchResult:
         pairs=pairs,
         unmatched_detected=[float(d) for i, d in enumerate(det) if i not in used_d],
         unmatched_truth=[float(t) for j, t in enumerate(tru) if j not in used_t],
-        tolerance=float(tolerance),
     )
 
 
@@ -130,11 +126,7 @@ class MapBenchReport:
     per_gamma: List[GammaAggregate]
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": asdict(self.spec),
-            "n_kernels": self.n_kernels,
-            "per_gamma": [asdict(g) for g in self.per_gamma],
-        }
+        return asdict(self)
 
 
 def _timed_median(fn, repeats: int):

@@ -37,8 +37,7 @@ class BlockPartition:
     gamma: int = 0
 
     def __post_init__(self):
-        if not self.block_sizes or not all(
-                isinstance(s, (int, np.integer)) and s >= 1 for s in self.block_sizes):
+        if not self.block_sizes or not all(_is_integer(s, 1) for s in self.block_sizes):
             raise ValueError("block sizes must be positive integers")
         _check_gamma(self.gamma)
 
@@ -166,8 +165,13 @@ def check_eps_zero(eps_zero: float) -> None:
         raise ValueError("eps_zero must be non-negative")
 
 
+def _is_integer(x, lo: int) -> bool:
+    """x is an int or a numpy integer scalar, not a bool, and x >= lo."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= lo
+
+
 def _check_gamma(gamma) -> None:
-    if not isinstance(gamma, (int, np.integer)) or gamma < 0:
+    if not _is_integer(gamma, 0):
         raise ValueError("gamma must be a non-negative integer")
 
 
@@ -428,15 +432,13 @@ def generate_synthetic_kernel(spec: SyntheticKernelSpec):
     sizes = []
     total = 0
     while total < spec.N:
-        s = int(rng.integers(lo, hi + 1))
-        if total + s > spec.N:
-            s = spec.N - total  # last block absorbs the remainder
+        # the last block absorbs the remainder
+        s = min(int(rng.integers(lo, hi + 1)), spec.N - total)
         sizes.append(s)
         total += s
 
-    m = len(sizes)
     overlaps = [int(rng.choice(np.asarray(spec.overlap_choices)))
-                for _ in range(m - 1)]
+                for _ in range(len(sizes) - 1)]
     # Corners must fit inside the two adjacent blocks.
     overlaps = [min(g, sizes[i], sizes[i + 1]) for i, g in enumerate(overlaps)]
 
@@ -448,11 +450,9 @@ def generate_synthetic_kernel(spec: SyntheticKernelSpec):
     starts = stops - np.asarray(sizes)
     for a, b in zip(starts, stops):
         mask[a:b, a:b] = True
-    for i, g in enumerate(overlaps):
-        c = stops[i]
-        if g > 0:
-            mask[c - g:c, c:c + g] = True
-            mask[c:c + g, c - g:c] = True
+    for c, g in zip(stops, overlaps):   # a corner of 0 sets nothing
+        mask[c - g:c, c:c + g] = True
+        mask[c:c + g, c - g:c] = True
     # in place where it can be: each N x N temporary is a fresh 8 N^2 bytes
     L[~mask] = 0.0
     L = L + L.T

@@ -56,11 +56,12 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     diagonal > 1.  Ties break to the lowest index.
 
     Certificate first: if N <= CERTIFY_MAX_DIM and every diagonal entry
-    exceeds 1, one Cholesky of L - (1 + mc.PSD_TOL * max(1, max L_ii)) I is
-    tried on the dense L.  If it succeeds, lambda_min(L) > 1, so every
-    conditional diagonal exceeds 1, greedy takes every item and the whole
-    set is returned (the margin is far above greedy's rounding at that N).
-    If it fails, the loop below runs as if it had not been tried.
+    exceeds 1, mc.factors_shifted tries one Cholesky of
+    L - (1 + mc.PSD_TOL * max(1, max L_ii)) I on a dense copy of L.  If it
+    succeeds, lambda_min(L) > 1, so every conditional diagonal exceeds 1,
+    greedy takes every item and the whole set is returned (the margin is far
+    above greedy's rounding at that N).  If it fails, the loop below runs as
+    if it had not been tried.
 
     Incremental Cholesky (Chen, Zhang & Zhou, NeurIPS 2018): row t of C is
     row t of the Cholesky factor of the picks, and d holds the conditional
@@ -75,14 +76,9 @@ def greedy_map(L, require_initial_gain: bool = False) -> np.ndarray:
     A = km.as_kernel(L)
     d = A.diagonal()
     G = (d > 1.0).nonzero()[0]
-    if 0 < G.size == d.size <= CERTIFY_MAX_DIM:
-        M = np.array(A)   # a new dense array to write to
-        M.flat[::d.size + 1] -= 1.0 + mc.PSD_TOL * max(1.0, d.max())
-        try:
-            np.linalg.cholesky(M)
-            return np.arange(d.size, dtype=np.int64)
-        except np.linalg.LinAlgError:
-            pass
+    if 0 < G.size == d.size <= CERTIFY_MAX_DIM and mc.factors_shifted(
+            A, -(1.0 + mc.PSD_TOL * max(1.0, d.max()))):
+        return np.arange(d.size, dtype=np.int64)
     max_picks = G.size or min(d.size, 1)
     if 0 < G.size < d.size:
         items, d = G, d[G]
@@ -189,8 +185,7 @@ def blockwise_map(L, P: BlockPartition, f: SubSolver = greedy_map,
                 (start, stop), global_sel, (time.perf_counter() - t0) * 1e3))
         selected.append(global_sel)
         prev_sel, prev_local, prev_reduced = global_sel, local, reduced
-    out = np.concatenate(selected) if selected else np.empty(0, dtype=np.int64)
-    return out, trace
+    return np.concatenate(selected), trace
 
 
 def exhaustive_map(L) -> np.ndarray:

@@ -4,11 +4,13 @@ inversion and ``psd_repair``.
 
 The one PSD rule, ``as_psd``'s: A + PSD_TOL * max(1, max_i A_ii) * I has a
 Cholesky factor, so float noise around a zero eigenvalue passes.  The one
-pivot rule, ``_pivot_fault``'s: a matrix that is not positive definite, or
-has a squared Cholesky pivot at or below DEFAULT_PIVOT_TOL * max(1, its
-largest diagonal entry), raises SingularToTolerance.  ``log_det`` takes its
-pivots from one LAPACK Cholesky; ``inverse_spd`` and ``inverse_logdet_spd``
-share one batched Cholesky, vectorised across the stack of matrices.
+shifted-Cholesky test, ``factors_shifted``, serves it and greedy MAP's
+certificate.  The one pivot rule, ``_pivot_fault``'s: a matrix that is not
+positive definite, or has a squared Cholesky pivot at or below
+DEFAULT_PIVOT_TOL * max(1, its largest diagonal entry), raises
+SingularToTolerance.  ``log_det`` takes its pivots from one LAPACK
+Cholesky; ``inverse_spd`` and ``inverse_logdet_spd`` share one batched
+Cholesky, vectorised across the stack of matrices.
 
 All routines take and return plain float64 numpy arrays and are pure
 functions of their inputs.  Index sets are strictly increasing arrays of
@@ -98,15 +100,23 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def as_psd(M) -> np.ndarray:
-    """as_matrix, then the PSD rule; the shifted copy is freed on return."""
-    A = as_matrix(M)
-    C = A.copy()
-    C.flat[::A.shape[0] + 1] += PSD_TOL * max(1.0, A.diagonal().max(initial=0.0))
+def factors_shifted(A, shift: float) -> bool:
+    """Whether np.linalg.cholesky factors A + shift * I, formed in a new dense
+    copy of A (an array, or a kernel numpy reads as one), freed on return."""
+    C = np.array(A)
+    C.flat[::C.shape[0] + 1] += shift
     try:
         np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive semidefinite to tolerance") from None
+        return False
+    return True
+
+
+def as_psd(M) -> np.ndarray:
+    """as_matrix, then the PSD rule."""
+    A = as_matrix(M)
+    if not factors_shifted(A, PSD_TOL * max(1.0, A.diagonal().max(initial=0.0))):
+        raise ValueError("matrix is not positive semidefinite to tolerance")
     return A
 
 
@@ -152,13 +162,11 @@ def log_det(M) -> float:
     """log det of a positive definite matrix from one LAPACK Cholesky; the
     0x0 matrix has det 1.  Raises SingularToTolerance by _pivot_fault's rule."""
     A = as_matrix(M)
-    if A.shape[0] == 0:
-        return 0.0
     try:
         piv = np.diagonal(np.linalg.cholesky(A))
     except np.linalg.LinAlgError:
         raise SingularToTolerance(_NOT_PD) from None
-    fault = _pivot_fault(piv * piv, A.diagonal().max())
+    fault = _pivot_fault(piv * piv, A.diagonal().max(initial=0.0))
     if fault:
         raise SingularToTolerance(fault)
     return float(2.0 * np.sum(np.log(piv)))
@@ -239,9 +247,7 @@ def psd_repair(M) -> np.ndarray:
     """Return M if PSD, else M shifted by |lambda_min| + PSD_REPAIR_MARGIN on
     the diagonal.  The off-diagonal sparsity pattern is never touched."""
     A = as_matrix(M)
-    if A.shape[0] == 0:
-        return A.copy()
-    lam = float(np.linalg.eigvalsh(A)[0])
+    lam = float(np.linalg.eigvalsh(A).min(initial=0.0))   # 0 for a 0 x 0 M
     if lam >= 0.0:
         return A.copy()
     return A + (abs(lam) + PSD_REPAIR_MARGIN) * np.eye(A.shape[0])

@@ -343,6 +343,60 @@ class TestEval:
                    "-o", str(tmp_path / "x.json")) == 1
 
 
+class TestJsonInputs:
+    """Each JSON file the CLI reads is checked where it is read: a file of
+    the wrong shape exits 1 with one error line naming it."""
+
+    @pytest.fixture
+    def detection(self, series_files, tmp_path):
+        ts, truth = series_files
+        out = tmp_path / "det.json"
+        assert run("detect", "--series", str(ts), "-o", str(out)) == 0
+        return bio.load_json(out), truth
+
+    def assert_one_error_line(self, capsys, argv, path):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind,segments", [
+        ("gaussian", {"length": 100, "mean": 0.0, "cov": 1.0}),
+        ("poisson", [1, 2]),
+        ("poisson", [{"duration": 50}]),
+    ])
+    def test_segments(self, kind, segments, tmp_path, capsys):
+        spec = tmp_path / "segs.json"
+        spec.write_text(json.dumps(segments))
+        self.assert_one_error_line(capsys, ("gen", "--kind", kind, "--segments",
+                                            str(spec), "-o", str(tmp_path / "x.csv")),
+                                   spec)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: {**d, "config": {**d["config"], "bogus": 1}},
+        lambda d: {**d, "config": {**d["config"], "window": "50"}},
+        lambda d: {**d, "config": [1]},
+    ])
+    def test_report(self, detection, edit, tmp_path, capsys):
+        report, truth = detection
+        rep = tmp_path / "bad.json"
+        rep.write_text(json.dumps(edit(report)))
+        self.assert_one_error_line(capsys, ("eval", "--report", str(rep), "--truth",
+                                            str(truth), "-o", str(tmp_path / "e.json")),
+                                   rep)
+
+    @pytest.mark.parametrize("truth", [[150.0], {"change": [150.0]}])
+    def test_truth(self, detection, truth, tmp_path, capsys):
+        report, _ = detection
+        rep, tru = tmp_path / "rep.json", tmp_path / "bad.json"
+        rep.write_text(json.dumps(report))
+        tru.write_text(json.dumps(truth))
+        self.assert_one_error_line(capsys, ("eval", "--report", str(rep), "--truth",
+                                            str(tru), "-o", str(tmp_path / "e.json")),
+                                   tru)
+
+
 class TestBench:
     def test_single_kernel_report(self, tmp_path):
         out = tmp_path / "bench.json"

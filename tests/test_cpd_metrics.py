@@ -158,6 +158,14 @@ class TestGlrPoisson:
         with pytest.raises(ValueError):
             cm.glr_poisson([1.0, 1.0], [2.0, 3.0])
 
+    def test_fractional_split_index_raises(self):
+        # [0.5], [20.7], [40.2] returned the value for 0, 20 and 40
+        e = np.cumsum(np.random.default_rng(7).exponential(1.0, 50))
+        with pytest.raises(ValueError, match="split indices"):
+            cm.poisson_split_glr(e, [0.5], [20.7], [40.2])
+        assert (cm.poisson_split_glr(e, [0.0], [20.0], [40.0])
+                == cm.poisson_split_glr(e, [0], [20], [40]))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -191,8 +199,13 @@ class TestProfiles:
         with pytest.raises(ValueError, match="whole number"):
             cm.dissimilarity_profile(X, 10.7)
         whole = cm.dissimilarity_profile(X, 10.0)
-        assert whole.window == 10 and np.array_equal(
+        assert np.array_equal(
             whole.values, cm.dissimilarity_profile(X, 10).values)
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_window_below_two_rejected(self, window):
+        with pytest.raises(ValueError):
+            cm.dissimilarity_profile(np.zeros(100), window)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,7 @@ from blockdpp.errors import NonFinite
 
 def profile(values, window=5):
     v = np.asarray(values, dtype=np.float64)
-    return cm.DissimilarityProfile(window=window,
-                                   times=np.arange(window, window + v.size),
+    return cm.DissimilarityProfile(times=np.arange(window, window + v.size),
                                    values=v)
 
 
@@ -60,6 +59,11 @@ class TestDetectionConfig:
     @pytest.mark.parametrize("gamma", [2.0, 1.5, float("nan")])
     def test_rejects_non_integer_gamma(self, gamma):
         # gamma=2.0 used to fail with a TypeError from slicing, at detection
+        with pytest.raises(ValueError, match="gamma"):
+            cp.DetectionConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [True, False])
+    def test_rejects_boolean_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             cp.DetectionConfig(gamma=gamma)
 
@@ -107,8 +111,7 @@ class TestCandidateQuality:
         X = np.concatenate([rng.standard_normal(100),
                             rng.standard_normal(100) + 6.0])
         prof = cm.dissimilarity_profile(X, 30)
-        cand = cm.DissimilarityProfile(window=30,
-                                       times=np.array([100]),
+        cand = cm.DissimilarityProfile(times=np.array([100]),
                                        values=np.array([1.0]))
         cs = cp.CandidateSet(times=cand.times, scores=cand.values, profile=prof)
         q, flags = cp.candidate_quality(X, cs, cp.DetectionConfig(window=30))
@@ -131,6 +134,18 @@ class TestCandidateQuality:
             times=np.empty(0), scores=np.empty(0), profile=profile([0.0])),
             cp.DetectionConfig())
         assert q.size == 0 and flags == []
+
+    def test_fractional_candidate_time_raises(self):
+        # 200.6 was scored as 200 through astype(np.int64)
+        X = np.random.default_rng(6).standard_normal(400)
+        cand = lambda t: cp.CandidateSet(times=np.array([100.0, t]),
+                                         scores=np.ones(2), profile=profile([0.0]))
+        with pytest.raises(ValueError, match="candidate times"):
+            cp.candidate_quality(X, cand(200.6), cp.DetectionConfig())
+        q, _ = cp.candidate_quality(X, cand(200.0), cp.DetectionConfig())
+        assert np.array_equal(q, cp.candidate_quality(X, cp.CandidateSet(
+            times=np.array([100, 200]), scores=np.ones(2), profile=profile([0.0])),
+            cp.DetectionConfig())[0])
 
     def test_degenerate_segment_flagged(self):
         rng = np.random.default_rng(2)

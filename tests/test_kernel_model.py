@@ -59,6 +59,15 @@ class TestBlockPartition:
     def test_numpy_integer_gamma_is_valid(self):
         assert km.BlockPartition((2,), np.int64(3)).gamma == 3
 
+    def test_rejects_boolean_sizes_and_gamma(self):
+        # BlockPartition((True, 2), gamma=True) was written as
+        # {"block_sizes": [true, 2], "gamma": 1}
+        with pytest.raises(ValueError, match="block sizes"):
+            km.BlockPartition((True, 2))
+        for gamma in (True, False):
+            with pytest.raises(ValueError, match="gamma"):
+                km.BlockPartition((1, 2), gamma)
+
     def test_json_roundtrip(self):
         p = km.BlockPartition((5, 2, 9), gamma=4)
         assert km.BlockPartition.from_json_dict(p.to_json_dict()) == p
@@ -427,6 +436,11 @@ class TestGammaPartition:
     @pytest.mark.parametrize("gamma", [2.0, 1.5, float("nan")])
     def test_rejects_non_integer_gamma(self, gamma):
         # a float gamma used to fail with a TypeError from slicing
+        with pytest.raises(ValueError, match="gamma"):
+            km.gamma_partition(np.eye(5), gamma)
+
+    @pytest.mark.parametrize("gamma", [True, False])
+    def test_rejects_boolean_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             km.gamma_partition(np.eye(5), gamma)
 

@@ -22,6 +22,7 @@ times, as medians of REPEATS runs:
 The ratio of each pair is block-wise over full, at g = 0 and 6.
 ``logprob_ms`` is the median time of ``log_prob_unnormalized(L, sel)`` on the
 g = 0 block-wise selection, validation included, as the ``checked`` calls are.
+``loadavg_at_start`` is the host's load average as the row starts.
 
 Detection half (``detect_rows``).  For T = 2000, 20000 and 200000 at D = 1
 and 8, a piecewise-Gaussian series of DETECT_SEGMENT-long segments (seed
@@ -34,7 +35,8 @@ candidates, whose dense n x n kernel would take 0.35 GB) goes through
 times, in one fresh child process per point.  Each row records the
 median of each stage's ``timings_ms`` and of the whole call, the candidate
 count, the picks (their count, a digest of the selected times, and F1 at
-the window's tolerance) and the child's peak RSS.
+the window's tolerance), the child's peak RSS and the load average as the
+child starts.
 
 The entry, keyed by --label, replaces any earlier entry of that label in the
 output file; it records the environment and the git SHA of the --src tree
@@ -126,7 +128,8 @@ def sweep() -> list:
         for kind in ("default", "scaled"):
             L = base if kind == "default" else base / np.quantile(np.diagonal(base), 0.9)
             parts = {g: km.gamma_partition(L, g) for g in GAMMAS}
-            row = {"N": n, "kernel": kind}
+            row = {"N": n, "kernel": kind,
+                   "loadavg_at_start": list(os.getloadavg())}
             kern = km.DppKernel(L)
             for mode in ("checked", "inference"):
                 K = L if mode == "checked" else kern
@@ -185,6 +188,7 @@ def detect_input(kind: str, T: int, D: int):
 
 def detect_point(src: str, kind: str, T: int, D: int) -> dict:
     """One detection point; run it in a fresh process, whose peak RSS it reports."""
+    load = list(os.getloadavg())
     sys.path.insert(0, src)
     import numpy as np
     from blockdpp import evaluation as ev
@@ -200,7 +204,7 @@ def detect_point(src: str, kind: str, T: int, D: int) -> dict:
         stages.append(rep.timings_ms)
     score = ev.precision_recall_f1(ev.match_changes(rep.selected, truth, cfg.window))
     return {
-        "kind": kind, "T": T, "D": D,
+        "kind": kind, "T": T, "D": D, "loadavg_at_start": load,
         "candidates": int(rep.candidates.times.size),
         "picks": int(rep.selected.size),
         "selected_sha256": hashlib.sha256(
